@@ -25,9 +25,16 @@
 //    exactly one worker at a time — the epoch barrier orders handoffs —
 //    so every alloc/free of a partition's frames still goes through one
 //    arena with no concurrent access, whichever OS thread runs it.
-//  * Chunks are only returned to the OS at thread exit, so per-thread
-//    memory is bounded by that thread's peak of live frames, not by the
-//    total number of ops simulated.
+//  * Chunks are only returned to the OS at thread exit (or, for a
+//    partition's arena, at engine teardown), so memory is bounded by the
+//    peak of live frames, not by the total number of ops simulated. That
+//    holds because every frame is freed when its task finishes: a child's
+//    by its parent's `Task`, a root's by its own final suspend
+//    (sim/task.hpp). A freed block goes to the head of its free list, so
+//    the next frame of that size reuses the one just released.
+//  * Under AddressSanitizer a freed block's payload is poisoned until it
+//    is handed out again, so ASan reports a stale pointer into a finished
+//    frame even though the memory stays inside the arena.
 //  * Oversize blocks (> kMaxBucketed after rounding) fall through to
 //    ::operator new/delete; they occur only for giant coroutine frames,
 //    never in the per-op path.
@@ -37,6 +44,17 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define RSD_ARENA_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define RSD_ARENA_ASAN 1
+#endif
+#endif
+#if defined(RSD_ARENA_ASAN)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace rsd::sim {
 
@@ -91,6 +109,7 @@ class FrameArena {
       free_[bucket] = node->next;
       auto* h = reinterpret_cast<Header*>(node);
       h->bucket_size = total;
+      poison(h, false);
       return h + 1;
     }
     ++stats_.carved;
@@ -110,6 +129,7 @@ class FrameArena {
       return;
     }
     const std::size_t bucket = h->bucket_size / kGranularity - 1;
+    poison(h, true);
     auto* node = reinterpret_cast<FreeNode*>(h);
     node->next = free_[bucket];
     free_[bucket] = node;
@@ -140,6 +160,18 @@ class FrameArena {
     thread_local FrameArena own;
     thread_local FrameArena* bound = &own;
     return bound;
+  }
+
+  /// (Un)poison a bucketed block's payload; the header stays readable
+  /// because the free list threads through it.
+  static void poison([[maybe_unused]] Header* h, [[maybe_unused]] bool freed) noexcept {
+#if defined(RSD_ARENA_ASAN)
+    if (freed) {
+      ASAN_POISON_MEMORY_REGION(h + 1, h->bucket_size - sizeof(Header));
+    } else {
+      ASAN_UNPOISON_MEMORY_REGION(h + 1, h->bucket_size - sizeof(Header));
+    }
+#endif
   }
 
   [[nodiscard]] static constexpr std::size_t round_up(std::size_t n) {

@@ -24,7 +24,9 @@
 //                reach drains its queue entirely;
 //   4. all partitions, in parallel on an `exec::Team`, deliver their
 //                inbox, then run their local queues up to (not including)
-//                their horizon;
+//                their horizon. The Team gives each worker the same fixed
+//                block of partitions every epoch, so a partition's queue,
+//                arena and device state stay in one core's caches;
 //   5. barrier; outbox buffers flip; repeat until no work remains.
 //
 // This is the global-epoch-barrier member of the conservative family
@@ -49,8 +51,12 @@
 // Memory: each partition's coroutine frames recycle through its own
 // FrameArena (ArenaScope around every slice), so the allocation-free hot
 // path of the sequential core survives partitioning, and a partition may
-// be processed by a different worker every epoch without violating the
-// arena's affinity rules.
+// be processed by a different worker in another epoch (under claim
+// jitter, or with another thread count) without violating the arena's
+// affinity rules. Root tasks — one per delivered message, and each
+// partition-local spawn — free their frames into that arena as soon as
+// they finish, so a partition's memory is bounded by its peak of live
+// frames, not by the messages it has received.
 #pragma once
 
 #include <algorithm>
@@ -92,7 +98,8 @@ class ParallelEngine {
     /// cross-partition send. Natural values are the injected slack window
     /// or the cross-chassis link latency. Must be > 0.
     SimDuration lookahead = duration::microseconds(1.0);
-    /// Non-zero seeds `exec::Team` claim jitter (determinism stress tests).
+    /// Non-zero seeds `exec::Team` claim jitter: a per-epoch rotation of
+    /// the partition -> worker blocks (determinism stress tests).
     std::uint64_t jitter_seed = 0;
   };
 
@@ -268,7 +275,7 @@ class ParallelEngine {
   friend class Partition;
 
   /// Per-partition engine-side state, cache-line padded: every worker
-  /// writes only its claimed partitions' slots within an epoch (the
+  /// writes only its own block's slots within an epoch (the
   /// horizon is written serially between epochs, read by the worker).
   struct alignas(64) Slot {
     SimTime next_time = SimTime::max();
@@ -381,7 +388,7 @@ class ParallelEngine {
     slots_[i].next_time = next;
 
     // Epoch timeline sample. Each partition's ring is touched only by the
-    // worker that claimed it this epoch, and epochs are barrier-separated,
+    // worker that runs it this epoch, and epochs are barrier-separated,
     // so the ring needs no lock; which OS thread wrote a sample is
     // invisible in the data, keeping the flushed timeline byte-identical
     // at any thread count.
@@ -397,6 +404,7 @@ class ParallelEngine {
           EpochSample{horizon.ns(), executed, static_cast<std::uint64_t>(in.size()), stalled};
       ring.next = (ring.next + 1) % ring.buf.size();
     }
+    p.out_cur_ = nullptr;  // a send() outside the next slice is rejected
   }
 
   /// Quiesce-point flush into the global registry (obs design: no per-event

@@ -138,7 +138,7 @@ class Partition {
   /// Double-buffered outboxes: the engine fills one per epoch and routes
   /// the other to destination inboxes between epochs, then flips parity.
   std::vector<RemoteMsg> outbox_[2];
-  std::vector<RemoteMsg>* out_cur_ = nullptr;  ///< Set by the engine per epoch.
+  std::vector<RemoteMsg>* out_cur_ = nullptr;  ///< Set only while a slice runs.
   std::uint64_t send_seq_ = 0;
 };
 

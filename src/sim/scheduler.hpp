@@ -4,7 +4,6 @@
 // schedule.
 #pragma once
 
-#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <exception>
@@ -23,10 +22,20 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
+  /// Destroys the frames of roots that never finished (a deadlocked
+  /// simulation), in spawn order. Finished roots were freed already.
+  ~Scheduler() {
+    while (roots_head_ != nullptr) {
+      auto& p = static_cast<Task<>::promise_type&>(*roots_head_);
+      unlink_root(p);
+      std::coroutine_handle<Task<>::promise_type>::from_promise(p).destroy();
+    }
+  }
+
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Launch a root process at the current simulated time. The scheduler
-  /// owns the task until `run()` finishes.
+  /// owns the task from here on and frees its frame when it finishes.
   void spawn(Task<> task) { spawn_at(std::move(task), now_); }
 
   /// Launch a root process at absolute time `t` (>= now). The partitioned
@@ -35,10 +44,18 @@ class Scheduler {
   /// timestamp.
   void spawn_at(Task<> task, SimTime t) {
     RSD_ASSERT(task.valid());
-    task.handle_.promise().sched = this;
     schedule_at(task.handle_, t);
-    roots_.push_back(std::move(task));
-    if (roots_.size() >= sweep_threshold_) sweep_finished_roots();
+    auto& p = task.handle_.promise();
+    p.sched = this;
+    p.root_prev = roots_tail_;
+    if (roots_tail_ != nullptr) {
+      roots_tail_->root_next = &p;
+    } else {
+      roots_head_ = &p;
+    }
+    roots_tail_ = &p;
+    ++live_roots_;
+    task.handle_ = {};  // ownership moves to the live-root list
   }
 
   /// Enqueue a coroutine to resume after `delay` of simulated time.
@@ -108,75 +125,44 @@ class Scheduler {
 
   /// Number of spawned root processes that have not yet completed.
   /// Non-zero after run() indicates a deadlock in the simulated program.
-  [[nodiscard]] std::size_t unfinished_count() const {
-    std::size_t n = 0;
-    for (const auto& t : roots_) {
-      if (t.valid() && !t.done()) ++n;
-    }
-    return n;
-  }
+  [[nodiscard]] std::size_t unfinished_count() const { return live_roots_; }
 
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
   /// Events resumed by this scheduler so far (perf_sim_core's numerator).
   [[nodiscard]] std::uint64_t executed_events() const { return executed_events_; }
 
-  /// Sweep diagnostics for the root-compaction regression tests: number of
-  /// sweeps run, total root slots scanned across them, and the current
-  /// backing capacity of the root list.
-  [[nodiscard]] std::uint64_t sweep_count() const { return sweep_count_; }
-  [[nodiscard]] std::uint64_t sweep_scanned() const { return sweep_scanned_; }
-  [[nodiscard]] std::size_t root_capacity() const { return roots_.capacity(); }
-
  private:
+  friend struct detail::PromiseBase::FinalAwaiter;
+
+  /// Called from a finishing root's final suspend, just before its frame
+  /// is destroyed: unlink it and keep its exception for finish_roots().
+  void retire_root(detail::PromiseBase& p) noexcept {
+    unlink_root(p);
+    if (p.exception) pending_exceptions_.push_back(std::move(p.exception));
+  }
+
+  void unlink_root(detail::PromiseBase& p) noexcept {
+    (p.root_prev != nullptr ? p.root_prev->root_next : roots_head_) = p.root_next;
+    (p.root_next != nullptr ? p.root_next->root_prev : roots_tail_) = p.root_prev;
+    --live_roots_;
+  }
+
+  /// Rethrow the first root failure, in completion order.
   void finish_roots() {
     if (!pending_exceptions_.empty()) {
       std::rethrow_exception(pending_exceptions_.front());
     }
-    for (auto& t : roots_) t.rethrow_if_failed();
-    // Keep finished frames until destruction is safe: all are done here
-    // (or deadlocked, in which case the caller inspects unfinished_count()).
   }
-
-  /// Reclaim completed root frames so long simulations (hundreds of
-  /// thousands of spawned ops) stay bounded in memory. Compacts in place —
-  /// no fresh vector — preserving the relative order of live tasks; each
-  /// finished frame is destroyed by the move-assignment that overwrites
-  /// its slot or by the final erase. Stored exceptions are preserved for
-  /// finish_roots(). The threshold doubles with the live population so a
-  /// long-lived fleet of N tasks costs O(total spawns) sweep work overall,
-  /// not O(spawns * N).
-  void sweep_finished_roots() {
-    ++sweep_count_;
-    sweep_scanned_ += roots_.size();
-    auto out = roots_.begin();
-    for (auto& t : roots_) {
-      if (!t.done()) {
-        if (&t != &*out) *out = std::move(t);
-        ++out;
-        continue;
-      }
-      try {
-        t.rethrow_if_failed();
-      } catch (...) {
-        pending_exceptions_.push_back(std::current_exception());
-      }
-    }
-    roots_.erase(out, roots_.end());
-    sweep_threshold_ = std::max(kRootSweepThreshold, roots_.size() * 2);
-  }
-
-  static constexpr std::size_t kRootSweepThreshold = 4096;
 
   TimedQueue<std::coroutine_handle<>> queue_;
-  std::vector<Task<>> roots_;
+  detail::PromiseBase* roots_head_ = nullptr;  ///< Live roots, in spawn order.
+  detail::PromiseBase* roots_tail_ = nullptr;
+  std::size_t live_roots_ = 0;
   std::vector<std::exception_ptr> pending_exceptions_;
   SimTime now_ = SimTime::zero();
   std::uint64_t seq_ = 0;
   std::uint64_t executed_events_ = 0;
-  std::size_t sweep_threshold_ = kRootSweepThreshold;
-  std::uint64_t sweep_count_ = 0;
-  std::uint64_t sweep_scanned_ = 0;
 };
 
 /// Awaitable that suspends the current process for `d` of simulated time.

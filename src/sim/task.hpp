@@ -5,6 +5,8 @@
 // `co_await` awaitables (delays, events, resources) to advance simulated
 // time. Tasks compose: `co_await child_task()` runs the child to completion
 // (in simulated time) and resumes the parent, propagating exceptions.
+// A root task (one passed to `Scheduler::spawn`) is freed the moment it
+// finishes; only a child's frame lives on, owned by its parent's `Task`.
 #pragma once
 
 #include <coroutine>
@@ -12,7 +14,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "core/error.hpp"
 #include "sim/arena.hpp"
 
 namespace rsd::sim {
@@ -28,10 +29,21 @@ namespace detail {
 /// operator new/delete below), so steady-state task churn — one task per
 /// simulated op — performs no general heap allocation. See arena.hpp for
 /// the lifetime rules this relies on.
+///
+/// A task is either a child (awaited by a parent, which owns the frame
+/// through its `Task` object) or a root (handed to `Scheduler::spawn`,
+/// which owns the frame from then on). A root has no continuation, so
+/// nothing can read its frame after it finishes: FinalAwaiter hands any
+/// escaped exception to the scheduler and frees the frame on the spot,
+/// back into the arena it came from, where LIFO reuse keeps it cache-hot.
+/// The scheduler links only live roots (`root_prev`/`root_next`), so it
+/// can count and tear down deadlocked ones.
 struct PromiseBase {
   Scheduler* sched = nullptr;
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
+  PromiseBase* root_prev = nullptr;
+  PromiseBase* root_next = nullptr;
 
   static void* operator new(std::size_t size) { return FrameArena::local().allocate(size); }
   static void operator delete(void* p) noexcept { FrameArena::local().deallocate(p); }
@@ -45,6 +57,8 @@ struct PromiseBase {
     std::coroutine_handle<> await_suspend(std::coroutine_handle<P> h) noexcept {
       auto& p = h.promise();
       if (p.continuation) return p.continuation;
+      p.sched->retire_root(p);  // a root: unlink it, keep its exception
+      h.destroy();
       return std::noop_coroutine();
     }
     void await_resume() const noexcept {}
@@ -118,13 +132,6 @@ class [[nodiscard]] Task {
     return detail::TaskAwaiter<promise_type, T>{handle_};
   }
 
-  /// Result access after completion (used by the scheduler for root tasks).
-  T& result() {
-    RSD_ASSERT(done());
-    if (handle_.promise().exception) std::rethrow_exception(handle_.promise().exception);
-    return handle_.promise().value;
-  }
-
  private:
   friend class Scheduler;
 
@@ -169,12 +176,6 @@ class [[nodiscard]] Task<void> {
 
   auto operator co_await() && noexcept {
     return detail::TaskAwaiter<promise_type, void>{handle_};
-  }
-
-  void rethrow_if_failed() {
-    if (handle_ && handle_.promise().exception) {
-      std::rethrow_exception(handle_.promise().exception);
-    }
   }
 
  private:

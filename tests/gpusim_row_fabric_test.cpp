@@ -186,5 +186,36 @@ TEST(RowFabric, SharedTopologyMatchesOwned) {
   }
 }
 
+/// Per-partition frame-arena carve counts after one training run.
+std::vector<std::uint64_t> carved_per_partition(int steps, int threads) {
+  RowParams params;
+  params.gpus = 64;
+  params.sim_threads = threads;
+  PartitionedRow row{params};
+  RowTraining training = small_training();
+  training.steps = steps;
+  (void)row.run_training(training);
+  std::vector<std::uint64_t> carved;
+  for (int i = 0; i < row.size(); ++i) {
+    carved.push_back(
+        row.engine().partition(static_cast<sim::PartitionId>(i)).arena().stats().carved);
+  }
+  return carved;
+}
+
+TEST(RowMemory, FramesAreRecycledAcrossRingPhasesAndSteps) {
+  // Every ring phase spawns root tasks (the outbound DMA, the delivered
+  // message, the inbound DMA) in each partition. Their frames go back to
+  // the partition's arena when they finish, so a 4-step run carves exactly
+  // the frames a 1-step run does: memory follows the live set, not the
+  // number of phases.
+  for (const int threads : {1, 4}) {
+    const auto one = carved_per_partition(1, threads);
+    const auto four = carved_per_partition(4, threads);
+    EXPECT_EQ(one, four) << threads << " threads";
+    for (const std::uint64_t c : four) EXPECT_LE(c, 64u);
+  }
+}
+
 }  // namespace
 }  // namespace rsd::gpu

@@ -114,6 +114,29 @@ TEST(ParallelEngine, SamePartitionSendSkipsLookaheadFloor) {
   EXPECT_EQ(eng.messages_delivered(), 0u);  // local fast path, no RemoteMsg
 }
 
+TEST(ParallelEngineDeathTest, RemoteSendOutsideAnEpochSliceIsRejected) {
+  // After run() returns, no slice is open: a remote send from setup code
+  // must be rejected, not parked in a stale outbox and delivered next
+  // epoch without any horizon check.
+  const auto send_after_run = [] {
+    ParallelEngine eng{2, {.threads = 1, .lookahead = 1_us}};
+    Partition* p0 = &eng.partition(0);
+    Partition* p1 = &eng.partition(1);
+    p0->post(SimDuration{0}, CrossCall{[p0, p1] {
+               p0->send(p1->id(), SimDuration{2'000}, CrossCall{[] {}});
+             }});
+    eng.run();
+    p0->send(p1->id(), SimDuration{2'000}, CrossCall{[] {}});
+  };
+  EXPECT_DEATH(send_after_run(), "out_cur_ != nullptr");
+  // Setup code before the first run() is rejected the same way.
+  const auto send_before_run = [] {
+    ParallelEngine eng{2, {.threads = 1, .lookahead = 1_us}};
+    eng.partition(0).send(1, SimDuration{2'000}, CrossCall{[] {}});
+  };
+  EXPECT_DEATH(send_before_run(), "out_cur_ != nullptr");
+}
+
 TEST(ParallelEngine, SimultaneousArrivalsMergeBySourceThenSeq) {
   // Partitions 1..4 each send two messages to partition 0, all arriving at
   // the same instant. The deterministic merge key (at, src, seq) fixes the
