@@ -93,9 +93,12 @@ INSTANTIATE_TEST_SUITE_P(Slacks, SizeOrdering, testing::Values(1, 10, 100, 1000,
 
 // ---------------------------------------------------------------------
 // Property: Equation 1 always removes exactly calls * slack, for any cell.
+// gtest names each cell by dumping the struct's bytes, so every field is
+// 64-bit: with no padding in the struct, no uninitialised byte reaches the
+// test name and the name is the same on every run.
 struct Eq1Param {
   std::int64_t n;
-  int threads;
+  std::int64_t threads;
   std::int64_t slack_us;
 };
 
@@ -105,7 +108,7 @@ TEST_P(EquationOneExactness, RemovedAmountExact) {
   const auto [n, threads, slack_us] = GetParam();
   const SimDuration slack = duration::microseconds(static_cast<double>(slack_us));
   const ProxyRunner runner;
-  const ProxyResult r = runner.run(quick(n, threads, slack));
+  const ProxyResult r = runner.run(quick(n, static_cast<int>(threads), slack));
   ASSERT_TRUE(r.fits_memory);
   EXPECT_EQ(r.loop_runtime - r.no_slack_time, slack * r.cuda_calls_per_thread);
 }
