@@ -28,8 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "bench/training_program.hpp"
 #include "core/csv.hpp"
-#include "core/names.hpp"
 #include "core/table.hpp"
 #include "core/units.hpp"
 #include "harness/context.hpp"
@@ -39,7 +39,6 @@
 #include "model/slack_model.hpp"
 #include "obs/critpath.hpp"
 #include "proxy/proxy.hpp"
-#include "wl/program.hpp"
 #include "wl/replay.hpp"
 
 namespace {
@@ -47,32 +46,6 @@ namespace {
 std::vector<rsd::net::FabricKind> selected_fabrics(const std::string& selection) {
   if (selection == "all") return rsd::net::all_fabric_kinds();
   return {rsd::net::parse_fabric_kind(selection)};
-}
-
-/// The replayed workload: `gpus` lanes, each looping fwd/bwd kernels and a
-/// gradient allreduce — the chassis step every fabric experiment prices.
-rsd::wl::Program training_program(int gpus) {
-  using namespace rsd;
-  using namespace rsd::literals;
-  wl::Program program;
-  const NameRef fwd{"train_fwd"};
-  const NameRef bwd{"train_bwd"};
-  const NameRef grad{"grad_allreduce"};
-  for (int i = 0; i < gpus; ++i) {
-    wl::Lane lane;
-    lane.context_id = i;
-    lane.process_id = i;
-    lane.device = i;
-    lane.loop(4);
-    lane.cpu(5_us);
-    lane.kernel(fwd, 30_us);
-    lane.kernel(bwd, 60_us);
-    lane.allreduce(4 * kMiB, gpus, grad);
-    lane.end_loop();
-    lane.sync();
-    program.lanes.push_back(std::move(lane));
-  }
-  return program;
 }
 
 }  // namespace
@@ -89,7 +62,7 @@ RSD_EXPERIMENT(attribution_fabrics, "attribution_fabrics", "extension",
 
   const std::vector<net::FabricKind> fabrics = selected_fabrics(ctx.fabric());
   constexpr int kGpus = 8;
-  const wl::Program program = training_program(kGpus);
+  const wl::Program program = bench::training_program(kGpus);
   const SimDuration slack = 100_us;
 
   // Small response surface bracketing the replay's shape (lane count in

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/training_program.hpp"
 #include "core/csv.hpp"
 #include "core/names.hpp"
 #include "core/table.hpp"
@@ -43,7 +44,6 @@
 #include "model/slack_model.hpp"
 #include "obs/critpath.hpp"
 #include "proxy/proxy.hpp"
-#include "wl/program.hpp"
 #include "wl/replay.hpp"
 
 namespace {
@@ -51,31 +51,6 @@ namespace {
 std::vector<rsd::net::FabricKind> selected_fabrics(const std::string& selection) {
   if (selection == "all") return rsd::net::all_fabric_kinds();
   return {rsd::net::parse_fabric_kind(selection)};
-}
-
-/// The 8-GPU training step the attribution experiments replay.
-rsd::wl::Program training_program(int gpus) {
-  using namespace rsd;
-  using namespace rsd::literals;
-  wl::Program program;
-  const NameRef fwd{"train_fwd"};
-  const NameRef bwd{"train_bwd"};
-  const NameRef grad{"grad_allreduce"};
-  for (int i = 0; i < gpus; ++i) {
-    wl::Lane lane;
-    lane.context_id = i;
-    lane.process_id = i;
-    lane.device = i;
-    lane.loop(4);
-    lane.cpu(5_us);
-    lane.kernel(fwd, 30_us);
-    lane.kernel(bwd, 60_us);
-    lane.allreduce(4 * kMiB, gpus, grad);
-    lane.end_loop();
-    lane.sync();
-    program.lanes.push_back(std::move(lane));
-  }
-  return program;
 }
 
 }  // namespace
@@ -146,7 +121,7 @@ RSD_EXPERIMENT(multichassis_contention, "multichassis_contention", "extension",
     ctx.out() << "[multichassis] clamping replay chassis width to " << replay_width
               << " (the " << kGpus << "-GPU replay must span >= 2 chassis)\n";
   }
-  const wl::Program program = training_program(kGpus);
+  const wl::Program program = bench::training_program(kGpus);
   const SimDuration slack = 100_us;
 
   const proxy::ProxyRunner runner;

@@ -1,7 +1,10 @@
 // A CDI GPU chassis: multiple simulated devices on a shared GPU fabric,
-// with discrete-event collectives that actually occupy the devices' copy
-// engines — the executable version of the Discussion's claim that
-// chassis-coupled GPUs accelerate CPU-asynchronous collectives.
+// with a discrete-event ring allreduce that actually occupies the devices'
+// copy engines — the executable version of the Discussion's claim that
+// chassis-coupled GPUs accelerate CPU-asynchronous collectives. The ring
+// is net::allreduce_schedule's data run by net::run_schedule, the same
+// schedule and executor the scheduled net::Network collectives use; only
+// the per-transfer launch differs.
 //
 // Since the link-graph machine model landed, the chassis no longer prices
 // a transfer off one scalar: it builds a `net::Topology` for its fabric
@@ -55,8 +58,8 @@ struct ChassisParams {
   /// Shape of the GPU<->GPU fabric (net::build_fabric). Full mesh matches
   /// the pre-machine-model chassis timing exactly.
   net::FabricKind fabric_kind = net::FabricKind::kFullMesh;
-  /// Grouping tag for the hierarchical algorithm: device i belongs to
-  /// group i / gpus_per_chassis.
+  /// Chassis tag in the topology: device i belongs to chassis
+  /// i / gpus_per_chassis (with chassis_nics, the devices behind one NIC).
   int gpus_per_chassis = 8;
   /// Circuit retarget cost when fabric_kind is kOpticalCircuit.
   SimDuration ocs_reconfigure = duration::microseconds(100.0);
@@ -106,24 +109,11 @@ class Chassis {
   /// [0, participants): 2(participants-1) phases; in each phase every
   /// participant ships one chunk to its ring neighbor, occupying the
   /// sender's D2H and the receiver's H2D engine for the routed transfer
-  /// time. Resumes when the collective completes on every device.
+  /// time. Phase i's records are named `<name>_send_p<i>` /
+  /// `<name>_recv_p<i>`. Resumes when the collective completes on every
+  /// device.
   sim::Task<> ring_allreduce(Bytes bytes_per_gpu, int participants,
                              NameRef name = NameRef{"allreduce"});
-
-  /// Binomial-tree allreduce (reduce to device 0, broadcast back):
-  /// 2*ceil(log2 participants) rounds of the full payload.
-  sim::Task<> tree_allreduce(Bytes bytes_per_gpu, int participants,
-                             NameRef name = NameRef{"allreduce"});
-
-  /// Hierarchical allreduce: ring inside each chassis group (topology
-  /// chassis tags), ring across the group leaders, then leaders broadcast
-  /// the result back to their groups.
-  sim::Task<> hierarchical_allreduce(Bytes bytes_per_gpu, int participants,
-                                     NameRef name = NameRef{"allreduce"});
-
-  /// Dispatch on `algorithm` (the wl replay hook).
-  sim::Task<> allreduce(net::Algorithm algorithm, Bytes bytes_per_gpu, int participants,
-                        NameRef name = NameRef{"allreduce"});
 
  private:
   /// Routed cost of one transfer, including any OCS circuit retarget by
@@ -146,9 +136,6 @@ class Chassis {
   /// record carrying the NIC-leg window.
   sim::Task<> networked_transfer(int src, int dst, Bytes bytes, NameRef send_name,
                                  NameRef recv_name, sim::WaitGroup& wg);
-
-  /// Phased ring allreduce over an explicit member list (device indices).
-  sim::Task<> ring_over(std::vector<int> members, Bytes bytes_per_gpu, NameRef name);
 
   sim::Scheduler& sched_;
   ChassisParams params_;

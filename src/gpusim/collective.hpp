@@ -7,8 +7,8 @@
 //
 // Since the link-graph machine model (interconnect/topology.hpp) landed,
 // these closed forms are the documented *analytic cross-check* for the
-// event-driven collectives in interconnect/collective.hpp: on an
-// uncontended fabric the scheduled ring/tree algorithms must reproduce
+// allreduce schedules in interconnect/collective.hpp: on an uncontended
+// fabric the executed ring/tree schedules must reproduce
 // ring_allreduce_time / tree_allreduce_time exactly
 // (tests/net_collective_test.cpp pins the parity).
 #pragma once

@@ -1,152 +1,172 @@
 #include "interconnect/collective.hpp"
 
 #include <algorithm>
-#include <map>
+#include <string>
+#include <utility>
 
 #include "core/error.hpp"
-#include "sim/scheduler.hpp"
-#include "sim/sync.hpp"
 
 namespace rsd::net {
 
 namespace {
 
-sim::Task<> counted_transfer(Network& network, int src, int dst, Bytes bytes,
-                             sim::WaitGroup& wg) {
-  co_await network.transfer_between_devices(src, dst, bytes);
+/// Ring allreduce over `members`: reduce-scatter then allgather, 2(k-1)
+/// bulk-synchronous phases, every member shipping one bytes/k chunk to
+/// its ring successor per phase.
+Lane ring_lane(const std::vector<int>& members, Bytes bytes_per_rank) {
+  const std::size_t k = members.size();
+  if (k <= 1) return {};
+  const Bytes chunk = bytes_per_rank / static_cast<Bytes>(k);
+  Lane lane(2 * (k - 1));
+  for (Phase& phase : lane) {
+    phase.reserve(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      phase.push_back(Transfer{members[i], members[(i + 1) % k], chunk});
+    }
+  }
+  return lane;
+}
+
+/// Binomial reduce towards rank 0 (in round r every surviving rank at an
+/// odd multiple of 2^r ships the full payload to its partner 2^r below),
+/// then the mirrored broadcast back down. Rounds are bulk-synchronous: a
+/// reduction needs both of its operands.
+Lane tree_lane(int n, Bytes bytes_per_rank) {
+  int rounds = 0;
+  while ((1 << rounds) < n) ++rounds;
+  Lane lane;
+  lane.reserve(static_cast<std::size_t>(2 * rounds));
+  for (int r = 0; r < rounds; ++r) {
+    const int stride = 1 << r;
+    Phase& phase = lane.emplace_back();
+    for (int i = stride; i < n; i += 2 * stride) {
+      phase.push_back(Transfer{i, i - stride, bytes_per_rank});
+    }
+  }
+  for (int r = rounds - 1; r >= 0; --r) {
+    const int stride = 1 << r;
+    Phase& phase = lane.emplace_back();
+    for (int i = stride; i < n; i += 2 * stride) {
+      phase.push_back(Transfer{i - stride, i, bytes_per_rank});
+    }
+  }
+  return lane;
+}
+
+/// Ring inside every chassis group (all groups concurrent), ring across
+/// the group leaders, then the leaders fan the reduced payload back out.
+Schedule hierarchical_schedule(const Topology& topology, int n, Bytes bytes_per_rank) {
+  std::vector<int> tags;
+  std::vector<std::vector<int>> groups;
+  for (int rank = 0; rank < n; ++rank) {
+    const int tag = topology.node(topology.device(rank)).chassis;
+    const auto it = std::find(tags.begin(), tags.end(), tag);
+    if (it == tags.end()) {
+      tags.push_back(tag);
+      groups.push_back({rank});
+    } else {
+      groups[static_cast<std::size_t>(it - tags.begin())].push_back(rank);
+    }
+  }
+
+  Stage intra;
+  std::vector<int> leaders;
+  Phase fan_out;
+  for (const std::vector<int>& members : groups) {
+    if (members.size() >= 2) intra.push_back(ring_lane(members, bytes_per_rank));
+    leaders.push_back(members.front());
+    for (std::size_t m = 1; m < members.size(); ++m) {
+      fan_out.push_back(Transfer{members.front(), members[m], bytes_per_rank});
+    }
+  }
+  Schedule schedule(3);
+  schedule[0] = std::move(intra);
+  schedule[1].push_back(ring_lane(leaders, bytes_per_rank));
+  Lane& fan_out_lane = schedule[2].emplace_back();
+  if (!fan_out.empty()) fan_out_lane.push_back(std::move(fan_out));
+  return schedule;
+}
+
+Schedule single_lane(Lane lane) {
+  Schedule schedule(1);
+  schedule.front().push_back(std::move(lane));
+  return schedule;
+}
+
+sim::Task<> run_lane(sim::Scheduler& sched, const Lane& lane, const PhaseLauncher& launch) {
+  for (std::size_t p = 0; p < lane.size(); ++p) {
+    const Phase& phase = lane[p];
+    RSD_ASSERT(!phase.empty());  // an empty phase would never be joined
+    sim::WaitGroup wg{sched};
+    wg.add(static_cast<std::int64_t>(phase.size()));
+    launch(phase, static_cast<int>(p), wg);
+    co_await wg.wait();
+  }
+}
+
+sim::Task<> run_joined_lane(sim::Scheduler& sched, const Lane& lane,
+                            const PhaseLauncher& launch, sim::WaitGroup& joined) {
+  co_await run_lane(sched, lane, launch);
+  joined.done();
+}
+
+sim::Task<> counted_transfer(Network& network, Transfer transfer, sim::WaitGroup& wg) {
+  co_await network.transfer_between_devices(transfer.src, transfer.dst, transfer.bytes);
   wg.done();
 }
 
 }  // namespace
 
-sim::Task<> ring_allreduce(Network& network, std::vector<int> ranks, Bytes bytes_per_rank) {
-  const int n = static_cast<int>(ranks.size());
-  if (n <= 1) co_return;
-  sim::Scheduler& sched = network.scheduler();
-  const Bytes chunk = bytes_per_rank / static_cast<Bytes>(n);
-  // Reduce-scatter then allgather: 2(n-1) bulk-synchronous phases, every
-  // rank shipping one chunk to its ring successor per phase.
-  const int phases = 2 * (n - 1);
-  for (int phase = 0; phase < phases; ++phase) {
-    sim::WaitGroup wg{sched};
-    wg.add(n);
-    for (int i = 0; i < n; ++i) {
-      sched.spawn(counted_transfer(network, ranks[static_cast<std::size_t>(i)],
-                                   ranks[static_cast<std::size_t>((i + 1) % n)], chunk, wg));
-    }
-    co_await wg.wait();
+Schedule allreduce_schedule(Algorithm algorithm, const Topology& topology, int participants,
+                            Bytes bytes_per_rank) {
+  if (participants < 1) {
+    throw Error{ErrorCode::kInvalidArgument,
+                "net::allreduce_schedule: participants must be >= 1"};
   }
+  if (participants > topology.device_count()) {
+    throw Error{ErrorCode::kInvalidArgument,
+                "net::allreduce_schedule: " + std::to_string(participants) +
+                    " participants exceed the topology's " +
+                    std::to_string(topology.device_count()) + " devices"};
+  }
+  switch (algorithm) {
+    case Algorithm::kRing: {
+      std::vector<int> ranks(static_cast<std::size_t>(participants));
+      for (int i = 0; i < participants; ++i) ranks[static_cast<std::size_t>(i)] = i;
+      return single_lane(ring_lane(ranks, bytes_per_rank));
+    }
+    case Algorithm::kTree:
+      return single_lane(tree_lane(participants, bytes_per_rank));
+    case Algorithm::kHierarchical:
+      return hierarchical_schedule(topology, participants, bytes_per_rank);
+  }
+  throw Error{ErrorCode::kInvalidArgument, "net::allreduce_schedule: unknown algorithm"};
 }
 
-sim::Task<> tree_allreduce(Network& network, std::vector<int> ranks, Bytes bytes_per_rank) {
-  const int n = static_cast<int>(ranks.size());
-  if (n <= 1) co_return;
-  sim::Scheduler& sched = network.scheduler();
-  int rounds = 0;
-  while ((1 << rounds) < n) ++rounds;
-
-  // Binomial reduce towards ranks[0]: in round r, every surviving rank at
-  // an odd multiple of 2^r ships the full payload to its partner 2^r
-  // below. Rounds are bulk-synchronous (reduction needs both operands).
-  for (int r = 0; r < rounds; ++r) {
-    const int stride = 1 << r;
-    sim::WaitGroup wg{sched};
-    int sends = 0;
-    for (int i = stride; i < n; i += 2 * stride) {
-      ++sends;
-      wg.add(1);
-      sched.spawn(counted_transfer(network, ranks[static_cast<std::size_t>(i)],
-                                   ranks[static_cast<std::size_t>(i - stride)],
-                                   bytes_per_rank, wg));
+sim::Task<> run_schedule(sim::Scheduler& sched, Schedule schedule, PhaseLauncher launch) {
+  for (const Stage& stage : schedule) {
+    if (stage.size() == 1) {
+      co_await run_lane(sched, stage.front(), launch);
+      continue;
     }
-    if (sends > 0) co_await wg.wait();
-  }
-
-  // Binomial broadcast back down: mirror rounds in reverse order.
-  for (int r = rounds - 1; r >= 0; --r) {
-    const int stride = 1 << r;
-    sim::WaitGroup wg{sched};
-    int sends = 0;
-    for (int i = stride; i < n; i += 2 * stride) {
-      ++sends;
-      wg.add(1);
-      sched.spawn(counted_transfer(network, ranks[static_cast<std::size_t>(i - stride)],
-                                   ranks[static_cast<std::size_t>(i)], bytes_per_rank, wg));
-    }
-    if (sends > 0) co_await wg.wait();
-  }
-}
-
-sim::Task<> hierarchical_allreduce(Network& network, std::vector<int> ranks,
-                                   Bytes bytes_per_rank) {
-  const int n = static_cast<int>(ranks.size());
-  if (n <= 1) co_return;
-  sim::Scheduler& sched = network.scheduler();
-
-  // Group by chassis tag (std::map: deterministic ascending-tag order).
-  std::map<int, std::vector<int>> groups;
-  for (const int rank : ranks) {
-    groups[network.topology().node(network.topology().device(rank)).chassis].push_back(rank);
-  }
-
-  // Stage 1: ring allreduce inside every chassis, all chassis concurrent.
-  {
-    sim::WaitGroup wg{sched};
-    for (const auto& [tag, members] : groups) {
-      if (members.size() < 2) continue;
-      wg.add(1);
-      sched.spawn([](Network& net, std::vector<int> group, Bytes bytes,
-                     sim::WaitGroup& group_wg) -> sim::Task<> {
-        co_await ring_allreduce(net, std::move(group), bytes);
-        group_wg.done();
-      }(network, members, bytes_per_rank, wg));
-    }
-    if (wg.count() > 0) co_await wg.wait();
-  }
-
-  // Stage 2: ring allreduce across the chassis leaders.
-  std::vector<int> leaders;
-  leaders.reserve(groups.size());
-  for (const auto& [tag, members] : groups) leaders.push_back(members.front());
-  co_await ring_allreduce(network, leaders, bytes_per_rank);
-
-  // Stage 3: leaders fan the reduced payload back out to their chassis;
-  // the shared leader uplink serialises the copies via link contention.
-  {
-    sim::WaitGroup wg{sched};
-    for (const auto& [tag, members] : groups) {
-      for (std::size_t m = 1; m < members.size(); ++m) {
-        wg.add(1);
-        sched.spawn(
-            counted_transfer(network, members.front(), members[m], bytes_per_rank, wg));
-      }
-    }
-    if (wg.count() > 0) co_await wg.wait();
+    if (stage.empty()) continue;
+    sim::WaitGroup joined{sched};
+    joined.add(static_cast<std::int64_t>(stage.size()));
+    for (const Lane& lane : stage) sched.spawn(run_joined_lane(sched, lane, launch, joined));
+    co_await joined.wait();
   }
 }
 
 sim::Task<> run_allreduce(Network& network, Algorithm algorithm, Bytes bytes_per_rank,
                           int participants) {
-  if (participants < 1) {
-    throw Error{ErrorCode::kInvalidArgument, "net::run_allreduce: participants must be >= 1"};
-  }
-  if (participants > network.topology().device_count()) {
-    throw Error{ErrorCode::kInvalidArgument,
-                "net::run_allreduce: " + std::to_string(participants) +
-                    " participants exceed the topology's " +
-                    std::to_string(network.topology().device_count()) + " devices"};
-  }
-  std::vector<int> ranks(static_cast<std::size_t>(participants));
-  for (int i = 0; i < participants; ++i) ranks[static_cast<std::size_t>(i)] = i;
-  switch (algorithm) {
-    case Algorithm::kRing:
-      return ring_allreduce(network, std::move(ranks), bytes_per_rank);
-    case Algorithm::kTree:
-      return tree_allreduce(network, std::move(ranks), bytes_per_rank);
-    case Algorithm::kHierarchical:
-      return hierarchical_allreduce(network, std::move(ranks), bytes_per_rank);
-  }
-  throw Error{ErrorCode::kInvalidArgument, "net::run_allreduce: unknown algorithm"};
+  return run_schedule(
+      network.scheduler(),
+      allreduce_schedule(algorithm, network.topology(), participants, bytes_per_rank),
+      [&network](const Phase& phase, int /*phase_index*/, sim::WaitGroup& wg) {
+        for (const Transfer& transfer : phase) {
+          network.scheduler().spawn(counted_transfer(network, transfer, wg));
+        }
+      });
 }
 
 AllreduceReport measure_allreduce(const Topology& topology, Algorithm algorithm,

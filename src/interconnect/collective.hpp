@@ -1,13 +1,15 @@
-// Event-driven collectives over a modeled link network.
+// Collectives as data: one allreduce schedule per algorithm, one executor.
 //
-// These are the scheduled counterparts of the closed-form alpha-beta
-// formulas in gpusim/collective.hpp: each algorithm decomposes an
-// allreduce into individual point-to-point transfers and schedules them
-// over `net::Network` links with FIFO contention, so fabric shape,
-// shared-link queueing, and OCS circuit reconfiguration all show up in
-// the result. On an uncontended fabric the ring and tree algorithms
-// reproduce `ring_allreduce_time` / `tree_allreduce_time` exactly — the
-// analytic forms stay as the documented cross-check, asserted by
+// `allreduce_schedule` decomposes an allreduce into point-to-point
+// transfers once, as plain data; `run_schedule` executes any schedule,
+// handing each phase to a caller-supplied launcher. Two executors share
+// it: `run_allreduce` / `measure_allreduce` launch every transfer over
+// `net::Network` links with FIFO contention (so fabric shape, shared-link
+// queueing and OCS circuit reconfiguration all show up in the result),
+// and `gpu::Chassis::ring_allreduce` launches them on the devices' copy
+// engines. On an uncontended fabric the ring and tree schedules reproduce
+// `ring_allreduce_time` / `tree_allreduce_time` (gpusim/collective.hpp)
+// exactly — the closed forms stay as the oracle, asserted by
 // tests/net_collective_test.cpp.
 //
 //   * ring:         2(n-1) bulk-synchronous neighbour phases moving
@@ -21,27 +23,61 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/units.hpp"
 #include "interconnect/fabric.hpp"
 #include "interconnect/network.hpp"
+#include "sim/scheduler.hpp"
+#include "sim/sync.hpp"
 #include "sim/task.hpp"
 
 namespace rsd::net {
 
-/// Allreduce `bytes_per_rank` across the devices listed in `ranks`
-/// (device indices into the network's topology, all distinct). Resumes
-/// when every rank holds the reduced result.
-sim::Task<> ring_allreduce(Network& network, std::vector<int> ranks, Bytes bytes_per_rank);
-sim::Task<> tree_allreduce(Network& network, std::vector<int> ranks, Bytes bytes_per_rank);
-/// Groups `ranks` by their devices' chassis tags in the topology.
-sim::Task<> hierarchical_allreduce(Network& network, std::vector<int> ranks,
-                                   Bytes bytes_per_rank);
+/// One point-to-point transfer between device indices (ranks).
+struct Transfer {
+  int src = 0;
+  int dst = 0;
+  Bytes bytes = 0;
+};
 
-/// Dispatch on `algorithm` over the first `participants` devices.
-/// Throws rsd::Error{kInvalidArgument} when participants < 1 or exceeds
-/// the topology's device count.
+/// The transfers of a phase run concurrently and are joined.
+using Phase = std::vector<Transfer>;
+/// The phases of a lane run in order.
+using Lane = std::vector<Phase>;
+/// The lanes of a stage run concurrently.
+using Stage = std::vector<Lane>;
+/// The stages of a schedule run in order.
+using Schedule = std::vector<Stage>;
+
+/// The allreduce of `bytes_per_rank` across ranks [0, participants) as
+/// data. Ring is one lane of 2(n-1) phases and tree one lane of
+/// 2*ceil(log2 n) phases; hierarchical is three stages — one lane per
+/// chassis group with >= 2 members (groups in first-appearance order of
+/// the devices' chassis tags in `topology`), one lane for the leaders'
+/// ring, one fan-out phase. No phase is empty, but a lane may have no
+/// phases (a ring of one rank, a fan-out with nobody to reach). Throws
+/// rsd::Error{kInvalidArgument} when participants < 1 or exceeds the
+/// topology's device count.
+[[nodiscard]] Schedule allreduce_schedule(Algorithm algorithm, const Topology& topology,
+                                          int participants, Bytes bytes_per_rank);
+
+/// Starts the transfers of one phase (`phase_index` counts within its
+/// lane). `wg` already counts every transfer of the phase; each must call
+/// `wg.done()` when it completes.
+using PhaseLauncher =
+    std::function<void(const Phase& phase, int phase_index, sim::WaitGroup& wg)>;
+
+/// Execute `schedule`: single-lane stages run inline in the caller,
+/// multi-lane stages spawn one coroutine per lane and join them. Takes
+/// the schedule by value so spawned lanes never outlive what they read.
+/// Every phase must hold at least one transfer.
+sim::Task<> run_schedule(sim::Scheduler& sched, Schedule schedule, PhaseLauncher launch);
+
+/// Run the `algorithm` allreduce over the first `participants` devices of
+/// the network's topology, every transfer a `transfer_between_devices`.
+/// Throws like `allreduce_schedule`.
 sim::Task<> run_allreduce(Network& network, Algorithm algorithm, Bytes bytes_per_rank,
                           int participants);
 

@@ -1,10 +1,12 @@
 #include "trace/import.hpp"
 
-#include <cstring>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include "core/error.hpp"
@@ -61,15 +63,47 @@ gpu::OpKind parse_kind(const std::string& s, std::size_t line_no) {
   fail(line_no, "unknown op kind '" + s + "'");
 }
 
-double parse_double(const std::string& s, std::size_t line_no, const char* field) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument{s};
-    return v;
-  } catch (const std::exception&) {
+/// A finite decimal number filling the whole cell (std::from_chars: no
+/// whitespace, no leading '+', no locale).
+double parse_number(const std::string& s, std::size_t line_no, const char* field) {
+  double v = 0.0;
+  const char* last = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), last, v);
+  if (ec == std::errc::result_out_of_range) {
+    fail(line_no, std::string{"value '"} + s + "' out of range for " + field);
+  }
+  if (ec != std::errc{} || ptr != last) {
     fail(line_no, std::string{"bad numeric value '"} + s + "' for " + field);
   }
+  if (!std::isfinite(v)) {
+    fail(line_no, std::string{"non-finite value '"} + s + "' for " + field);
+  }
+  return v;
+}
+
+/// An id column (context, process): truncated towards zero, must fit int.
+int parse_id(const std::string& s, std::size_t line_no, const char* field) {
+  const double v = std::trunc(parse_number(s, line_no, field));
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
+    fail(line_no, std::string{"value '"} + s + "' out of range for " + field);
+  }
+  return static_cast<int>(v);
+}
+
+/// A timestamp in microseconds, converted to integer nanoseconds.
+SimTime parse_time_us(const std::string& s, std::size_t line_no, const char* field) {
+  const double ns = parse_number(s, line_no, field) * 1e3;
+  if (!(ns >= -0x1p63 && ns < 0x1p63)) {
+    fail(line_no, std::string{"value '"} + s + "' out of range for " + field);
+  }
+  return SimTime{static_cast<std::int64_t>(ns)};
+}
+
+Bytes parse_bytes(const std::string& s, std::size_t line_no) {
+  const double v = std::trunc(parse_number(s, line_no, "bytes"));
+  if (v < 0.0) fail(line_no, "negative bytes '" + s + "'");
+  if (v >= 0x1p64) fail(line_no, "value '" + s + "' out of range for bytes");
+  return static_cast<Bytes>(v);
 }
 
 }  // namespace
@@ -110,19 +144,14 @@ Trace parse_ops_csv(std::istream& input) {
     gpu::OpRecord op;
     op.kind = parse_kind(cells[columns["kind"]], line_no);
     op.name = cells[columns["name"]];
-    op.context_id =
-        static_cast<int>(parse_double(cells[columns["context"]], line_no, "context"));
+    op.context_id = parse_id(cells[columns["context"]], line_no, "context");
     if (process_column != columns.end()) {
-      op.process_id =
-          static_cast<int>(parse_double(cells[process_column->second], line_no, "process"));
+      op.process_id = parse_id(cells[process_column->second], line_no, "process");
     }
-    op.submit = SimTime{static_cast<std::int64_t>(
-        parse_double(cells[columns["submit_us"]], line_no, "submit_us") * 1e3)};
-    op.start = SimTime{static_cast<std::int64_t>(
-        parse_double(cells[columns["start_us"]], line_no, "start_us") * 1e3)};
-    op.end = SimTime{static_cast<std::int64_t>(
-        parse_double(cells[columns["end_us"]], line_no, "end_us") * 1e3)};
-    op.bytes = static_cast<Bytes>(parse_double(cells[columns["bytes"]], line_no, "bytes"));
+    op.submit = parse_time_us(cells[columns["submit_us"]], line_no, "submit_us");
+    op.start = parse_time_us(cells[columns["start_us"]], line_no, "start_us");
+    op.end = parse_time_us(cells[columns["end_us"]], line_no, "end_us");
+    op.bytes = parse_bytes(cells[columns["bytes"]], line_no);
     if (op.end < op.start) fail(line_no, "end before start");
     trace.add_op(std::move(op));
   }

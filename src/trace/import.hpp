@@ -13,7 +13,10 @@ namespace rsd::trace {
 
 /// Parse a trace from CSV text. The first line must be the header produced
 /// by Trace::ops_to_csv (extra columns are ignored; required columns are
-/// kind, name, context, submit_us, start_us, end_us, bytes). Throws
+/// kind, name, context, submit_us, start_us, end_us, bytes). Numbers are
+/// parsed with std::from_chars; a cell that is not a finite number, an
+/// id (context, process) outside int, a time whose nanoseconds overflow
+/// int64, or a negative or oversized byte count is rejected. Throws
 /// rsd::Error{kInvalidArgument} with a line number on malformed input.
 [[nodiscard]] Trace parse_ops_csv(std::istream& input);
 

@@ -79,6 +79,11 @@ struct Lane {
   void sync();
   void barrier();
   void cpu(SimDuration duration);
+  /// One op runs the whole collective: the chassis ring allreduce of
+  /// `bytes_per_gpu` across devices [0, participants), moving every
+  /// participant's chunks, not just this lane's device. A data-parallel
+  /// program should issue it from one lane (the others synchronise on a
+  /// barrier); issuing it from every lane runs that many collectives.
   void allreduce(Bytes bytes_per_gpu, int participants, NameRef name);
   /// Open a repeat block executing `trips` times; close with end_loop().
   void loop(std::int64_t trips);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "gpusim/collective.hpp"
 #include "sim/scheduler.hpp"
 #include "trace/trace.hpp"
@@ -70,6 +73,21 @@ TEST(Chassis, PhasesAreBulkSynchronous) {
   }
   EXPECT_EQ(sends, 24u);
   EXPECT_EQ(recvs, 24u);
+
+  // Phase i's records carry `allreduce_send_p<i>` / `allreduce_recv_p<i>`
+  // (the names trace.json shows): 4 of each per phase, nothing else.
+  std::map<std::string, int> names;
+  for (const auto& op : rec.trace().ops()) {
+    EXPECT_EQ(op.kind == OpKind::kMemcpyD2H, op.name.str().find("_send_") != std::string::npos)
+        << op.name.str();
+    ++names[op.name.str()];
+  }
+  std::map<std::string, int> expected;
+  for (int p = 0; p < 6; ++p) {
+    expected["allreduce_send_p" + std::to_string(p)] = 4;
+    expected["allreduce_recv_p" + std::to_string(p)] = 4;
+  }
+  EXPECT_EQ(names, expected);
 }
 
 TEST(Chassis, ScatteredFabricIsSlower) {

@@ -1,10 +1,15 @@
-// Event-driven collectives vs the closed-form alpha-beta models: on an
-// uncontended fabric the scheduled ring/tree algorithms must reproduce
-// gpu::ring_allreduce_time / gpu::tree_allreduce_time to the nanosecond —
-// the analytic forms stay in the tree as this cross-check.
+// Allreduce schedules as data, and their execution over net::Network vs
+// the closed-form alpha-beta models: on an uncontended fabric the ring and
+// tree schedules must reproduce gpu::ring_allreduce_time /
+// gpu::tree_allreduce_time to the nanosecond — the analytic forms stay in
+// the tree as this cross-check.
 #include "interconnect/collective.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "core/error.hpp"
 #include "gpusim/collective.hpp"
@@ -76,6 +81,98 @@ TEST(NetCollective, HierarchicalSingleChassisIsRingPlusFanOut) {
   const SimDuration fan_out = gpu::detail::transfer(link, static_cast<double>(kPayload));
   EXPECT_EQ(report.duration, gpu::ring_allreduce_time(kPayload, kGpus, link) + fan_out);
   EXPECT_EQ(report.contended_transfers, 0u);
+
+  // Uneven chassis, 12 GPUs at 8 per chassis: the 8- and 4-rank chassis
+  // rings run concurrently but not in lockstep, so stage 1 lasts as long as
+  // the slower ring alone; then the 2-leader ring and one fan-out round.
+  FabricParams uneven = params;
+  uneven.gpus = 12;
+  const AllreduceReport r12 =
+      measure_allreduce(build_fabric(uneven), Algorithm::kHierarchical, kPayload, 12);
+  const auto ring = [&](int n) { return gpu::ring_allreduce_time(kPayload, n, link); };
+  EXPECT_EQ(r12.duration, std::max(ring(8), ring(4)) + ring(2) + fan_out);
+  EXPECT_EQ(r12.contended_transfers, 0u);
+}
+
+TEST(NetCollective, RingScheduleIsOneLaneOfNeighbourChunks) {
+  const Topology topo = build_fabric(fabric_params(FabricKind::kFullMesh));
+  for (const int n : {1, 2, 3, 8}) {
+    const Schedule schedule = allreduce_schedule(Algorithm::kRing, topo, n, kPayload);
+    ASSERT_EQ(schedule.size(), 1u);
+    ASSERT_EQ(schedule[0].size(), 1u);
+    const Lane& lane = schedule[0][0];
+    EXPECT_EQ(lane.size(), static_cast<std::size_t>(2 * (n - 1))) << "n=" << n;
+    for (const Phase& phase : lane) {
+      ASSERT_EQ(phase.size(), static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i) {
+        const Transfer& t = phase[static_cast<std::size_t>(i)];
+        EXPECT_EQ(t.src, i);
+        EXPECT_EQ(t.dst, (i + 1) % n);
+        EXPECT_EQ(t.bytes, kPayload / static_cast<Bytes>(n));
+      }
+    }
+  }
+}
+
+TEST(NetCollective, TreeScheduleCoversNonPowerOfTwo) {
+  // n = 5: ceil(log2 5) = 3 reduce rounds, then the mirrored broadcast.
+  const Topology topo = build_fabric(fabric_params(FabricKind::kFullMesh));
+  const Schedule schedule = allreduce_schedule(Algorithm::kTree, topo, 5, kPayload);
+  ASSERT_EQ(schedule.size(), 1u);
+  ASSERT_EQ(schedule[0].size(), 1u);
+  std::vector<std::vector<std::pair<int, int>>> pairs;
+  for (const Phase& phase : schedule[0][0]) {
+    auto& round = pairs.emplace_back();
+    for (const Transfer& t : phase) {
+      EXPECT_EQ(t.bytes, kPayload);
+      round.emplace_back(t.src, t.dst);
+    }
+  }
+  const std::vector<std::vector<std::pair<int, int>>> expected{
+      {{1, 0}, {3, 2}}, {{2, 0}}, {{4, 0}},  // reduce, strides 1, 2, 4
+      {{0, 4}}, {{0, 2}}, {{0, 1}, {2, 3}},  // broadcast, strides 4, 2, 1
+  };
+  EXPECT_EQ(pairs, expected);
+}
+
+TEST(NetCollective, HierarchicalScheduleOnUnevenChassis) {
+  // 12 GPUs at 8 per chassis: chassis {0..7} and {8..11}.
+  FabricParams params = fabric_params(FabricKind::kFullMesh);
+  params.gpus = 12;
+  const Topology topo = build_fabric(params);
+  const Schedule schedule = allreduce_schedule(Algorithm::kHierarchical, topo, 12, kPayload);
+  ASSERT_EQ(schedule.size(), 3u);
+
+  // Stage 1: one concurrent ring lane per chassis, 2(8-1) and 2(4-1) phases.
+  ASSERT_EQ(schedule[0].size(), 2u);
+  EXPECT_EQ(schedule[0][0].size(), 14u);
+  EXPECT_EQ(schedule[0][1].size(), 6u);
+  EXPECT_EQ(schedule[0][1][0].front().src, 8);
+  EXPECT_EQ(schedule[0][1][0].front().bytes, kPayload / 4);
+
+  // Stage 2: the two leaders' ring.
+  ASSERT_EQ(schedule[1].size(), 1u);
+  ASSERT_EQ(schedule[1][0].size(), 2u);
+  for (const Phase& phase : schedule[1][0]) {
+    ASSERT_EQ(phase.size(), 2u);
+    EXPECT_EQ(phase[0].src, 0);
+    EXPECT_EQ(phase[0].dst, 8);
+    EXPECT_EQ(phase[1].src, 8);
+    EXPECT_EQ(phase[1].dst, 0);
+  }
+
+  // Stage 3: one fan-out phase, group by group, member by member.
+  ASSERT_EQ(schedule[2].size(), 1u);
+  ASSERT_EQ(schedule[2][0].size(), 1u);
+  const Phase& fan_out = schedule[2][0][0];
+  ASSERT_EQ(fan_out.size(), 10u);
+  for (std::size_t i = 0; i < fan_out.size(); ++i) {
+    const int leader = i < 7 ? 0 : 8;
+    const int member = i < 7 ? static_cast<int>(i) + 1 : static_cast<int>(i) + 2;
+    EXPECT_EQ(fan_out[i].src, leader);
+    EXPECT_EQ(fan_out[i].dst, member);
+    EXPECT_EQ(fan_out[i].bytes, kPayload);
+  }
 }
 
 TEST(NetCollective, SwitchedFabricsChargeTheExtraHop) {

@@ -4,6 +4,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/error.hpp"
 #include "trace/trace.hpp"
@@ -111,6 +112,36 @@ TEST(TraceImport, NonNumericFieldNamesFieldAndLine) {
     const std::string what{e.what()};
     EXPECT_NE(what.find("line 2"), std::string::npos) << what;
     EXPECT_NE(what.find("start_us"), std::string::npos) << what;
+  }
+}
+
+TEST(TraceImport, RejectsValuesThatDoNotFitTheirField) {
+  // Each row once reached a static_cast with no range check: NaN and
+  // out-of-range ids, wrapping negative bytes, an overflowing ns time.
+  const std::string header = "kind,name,context,process,submit_us,start_us,end_us,bytes\n";
+  const struct {
+    const char* row;
+    const char* field;
+  } cases[] = {
+      {"kernel,k,nan,0,0,1,2,0\n", "context"},
+      {"kernel,k,1e12,0,0,1,2,0\n", "context"},
+      {"kernel,k,0,nan,0,1,2,0\n", "process"},
+      {"kernel,k,0,1e12,0,1,2,0\n", "process"},
+      {"memcpy_h2d,m,0,0,0,1,2,-4096\n", "bytes"},
+      {"memcpy_h2d,m,0,0,0,1,2,inf\n", "bytes"},
+      {"kernel,k,0,0,0,1,1e300,0\n", "end_us"},
+      {"kernel,k,0,0,0,1,1e400,0\n", "end_us"},
+  };
+  for (const auto& c : cases) {
+    std::istringstream in{header + "kernel,ok,0,0,0,1,2,0\n" + c.row};
+    try {
+      (void)parse_ops_csv(in);
+      ADD_FAILURE() << "accepted " << c.row;
+    } catch (const Error& e) {
+      const std::string what{e.what()};
+      EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+      EXPECT_NE(what.find(c.field), std::string::npos) << what;
+    }
   }
 }
 
