@@ -11,11 +11,12 @@ namespace rsd::exec {
 namespace {
 
 /// How long a waiting participant spins before parking on the futex. It
-/// covers the conservative engine's serial pass between two epochs
-/// (routing + horizons, ~40-50 us on a 512-partition row), so workers of
-/// back-to-back epochs never sleep, while an idle team stops burning CPU
-/// almost at once. A team wider than the machine never spins: a spinning
-/// thread would hold the core a participant with work is waiting for.
+/// is well above the conservative engine's serial pass between two
+/// epochs (O(partitions) array reads and the horizon sweep, ~8 us on a
+/// 512-partition row), so workers of back-to-back epochs never sleep,
+/// while an idle team stops burning CPU almost at once. A team wider
+/// than the machine never spins: a spinning thread would hold the core a
+/// participant with work is waiting for.
 constexpr std::chrono::microseconds kSpin{64};
 
 void cpu_relax() {

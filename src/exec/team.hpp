@@ -19,8 +19,8 @@
 //     atomic, no per-epoch allocation, no mutex, no condition variable —
 //     and an item lands on the same thread every epoch, so a partition's
 //     state stays in one core's caches;
-//   * waiting threads spin for a bounded time (kSpin in team.cpp, sized
-//     to cover the engine's serial pass between epochs) and only then park
+//   * waiting threads spin for a bounded time (kSpin in team.cpp, well
+//     above the engine's serial pass between epochs) and only then park
 //     on a C++20 atomic wait (a futex on Linux), on both the epoch edge
 //     (workers) and the retire edge (caller). A team wider than the
 //     machine's hardware threads parks at once instead: there, a spinning

@@ -138,10 +138,10 @@ Device::~Device() {
   depth.merge(compute_.queue_depth_);
   depth.merge(h2d_.queue_depth_);
   depth.merge(d2h_.queue_depth_);
-  const SimTime now = sched_.now();
-  if (now.ns() > 0) {
-    reg.gauge("gpusim.compute_utilization").set(compute_.busy_time_.seconds() / now.seconds());
-  }
+  // Compute utilization is compute_busy_ns / device_ns: two sums, so the
+  // ratio does not depend on which device of a fan-out is destroyed last.
+  reg.counter("gpusim.compute_busy_ns").add(compute_.busy_time_.ns());
+  reg.counter("gpusim.device_ns").add(sched_.now().ns());
 }
 
 Engine& Device::engine_for(OpKind kind) {

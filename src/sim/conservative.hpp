@@ -4,30 +4,40 @@
 // partition.hpp) and advances them in *epochs* under conservative
 // lookahead:
 //
-//   1. route   — a serial O(messages) pass moves every message sent last
-//                epoch into its destination's inbox (replacing each of P
-//                partitions scanning all P outboxes: the old O(P^2)
-//                per-epoch walk dominated wall time on a 512-GPU row);
-//   2. a_i     = earliest instant partition i can still act (its next
-//                local event or an undelivered inbound message);
-//   3. horizon — per partition. With the default *global* lookahead L,
+//   1. a_i     = earliest instant partition i can still act: the smaller
+//                of its next local event and the earliest message already
+//                routed to it. Both are plain per-partition arrays the
+//                workers filled last epoch, so the serial pass between
+//                epochs reads contiguous memory only;
+//   2. horizon — per partition. With the default *global* lookahead L,
 //                every horizon is min_i(a_i) + L. With a declared
 //                *lookahead-edge matrix* (set_lookahead_edges: each edge
 //                src -> dst carries the minimum delay of any send on it,
 //                e.g. the fabric's routed path latency), partition j's
 //                horizon is the earliest any message chain could still
 //                reach it: min over paths i -> ... -> j in the edge graph
-//                of a_i + (sum of edge lookaheads) — one multi-source
-//                Dijkstra per epoch, seeded with a_i. Distance-aware
-//                horizons advance much further than min+L when activity
-//                is spread out, so stalls drop; a partition no chain can
-//                reach drains its queue entirely;
-//   4. all partitions, in parallel on an `exec::Team`, deliver their
-//                inbox, then run their local queues up to (not including)
-//                their horizon. The Team gives each worker the same fixed
-//                block of partitions every epoch, so a partition's queue,
-//                arena and device state stay in one core's caches;
-//   5. barrier; outbox buffers flip; repeat until no work remains.
+//                of a_i + (sum of edge lookaheads). One O(E) relaxation
+//                sweep over the CSR edge arrays, seeded with a_i, settles
+//                every label in the common case; only labels the sweep
+//                improves go on a heap (Dijkstra over those alone), and a
+//                last O(E) pass takes h_j over j's in-edges
+//                (detail::epoch_horizons). Distance-aware horizons advance
+//                much further than min+L when activity is spread out, so
+//                stalls drop; a partition no chain can reach drains its
+//                queue entirely;
+//   3. all partitions, in parallel on an `exec::Team`, sort their inbox
+//                chain by (at, src, seq) and deliver it, then run their
+//                local queues up to (not including) their horizon. The
+//                Team gives each worker the same fixed block of partitions
+//                every epoch, so a partition's queue, arena and device
+//                state stay in one core's caches;
+//   4. route   — at the end of its slice each partition routes its own
+//                sends: every message is linked (CAS) onto its
+//                destination's inbox chain for the next epoch and lowers
+//                that destination's earliest in-flight time. No serial
+//                routing pass, and nothing is allocated on the way;
+//   5. barrier; outbox and inbox parity flip; repeat until no work
+//                remains.
 //
 // This is the global-epoch-barrier member of the conservative family
 // (null-message-free CMB): slack windows and cross-chassis link/copy
@@ -46,7 +56,8 @@
 //   * within an epoch partitions share nothing; the Team only decides
 //     WHICH OS thread runs a partition's sequential slice;
 //   * inbound messages merge in sorted `(at, src, seq)` order, with seq
-//     assigned by the (sequential) sender — arrival order is irrelevant.
+//     assigned by the (sequential) sender — the order in which concurrent
+//     senders' pushes land on a chain is irrelevant.
 //
 // Memory: each partition's coroutine frames recycle through its own
 // FrameArena (ArenaScope around every slice), so the allocation-free hot
@@ -60,9 +71,12 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -86,6 +100,115 @@ struct LookaheadEdge {
   PartitionId dst = 0;
   SimDuration lookahead = SimDuration::zero();
 };
+
+namespace detail {
+
+/// The lookahead-edge graph in compressed sparse row form: the out-edges
+/// of node i are `dst[k]`, `ns[k]` for k in [offset[i], offset[i + 1]).
+struct LookaheadCsr {
+  std::vector<std::uint32_t> offset;  ///< nodes() + 1 entries.
+  std::vector<PartitionId> dst;
+  std::vector<std::int64_t> ns;
+
+  [[nodiscard]] std::size_t nodes() const { return offset.empty() ? 0 : offset.size() - 1; }
+};
+
+/// Reusable working memory of epoch_horizons (no per-epoch allocation
+/// once the vectors have grown).
+struct HorizonScratch {
+  struct Node {
+    SimTime at;
+    PartitionId part;
+  };
+  std::vector<SimTime> dist;
+  std::vector<Node> heap;
+};
+
+/// Distance-aware horizons of one epoch. `avail[i]` is the earliest
+/// instant node i can act (SimTime::max() when idle); `out[j]` becomes
+/// min over in-edges (i, j) of dist_i + L_ij, where dist_i is the least
+/// avail_k plus path length over every path k -> ... -> i (max() when no
+/// active node reaches j). One relaxation sweep seeded with avail settles
+/// every label in the common case; nodes whose label it improves seed a
+/// heap, and Dijkstra over those alone finishes the search. Shortest
+/// distances are unique, so the result does not depend on tie-breaks or
+/// sweep order. Returns the number of labels the sweep improved (the
+/// heap's seeds). `out` must not alias `avail`.
+inline std::size_t epoch_horizons(std::span<const SimTime> avail, const LookaheadCsr& csr,
+                                  std::span<SimTime> out, HorizonScratch& scratch) {
+  const std::size_t n = csr.nodes();
+  RSD_ASSERT(avail.size() == n && out.size() == n);
+  auto& dist = scratch.dist;
+  auto& heap = scratch.heap;
+  dist.assign(avail.begin(), avail.end());
+  heap.clear();
+  const auto relax = [&](std::size_t i) {
+    const SimTime from = dist[i];
+    for (std::uint32_t k = csr.offset[i]; k < csr.offset[i + 1]; ++k) {
+      const SimTime cand = from + duration::nanoseconds(csr.ns[k]);
+      if (cand < dist[csr.dst[k]]) {
+        dist[csr.dst[k]] = cand;
+        heap.push_back({cand, csr.dst[k]});
+      }
+    }
+  };
+  const auto later = [](const HorizonScratch::Node& a, const HorizonScratch::Node& b) {
+    return a.at > b.at;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    if (dist[i] != SimTime::max()) relax(i);
+  }
+  const std::size_t seeds = heap.size();
+  std::make_heap(heap.begin(), heap.end(), later);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const HorizonScratch::Node top = heap.back();
+    heap.pop_back();
+    if (top.at == dist[top.part]) relax(top.part);
+  }
+  std::fill(out.begin(), out.end(), SimTime::max());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (dist[i] == SimTime::max()) continue;
+    for (std::uint32_t k = csr.offset[i]; k < csr.offset[i + 1]; ++k) {
+      SimTime& h = out[csr.dst[k]];
+      h = std::min(h, dist[i] + duration::nanoseconds(csr.ns[k]));
+    }
+  }
+  return seeds;
+}
+
+/// The deterministic merge key of inbound messages.
+[[nodiscard]] inline bool delivers_before(const RemoteMsg& a, const RemoteMsg& b) {
+  if (a.at != b.at) return a.at < b.at;
+  if (a.src != b.src) return a.src < b.src;
+  return a.seq < b.seq;
+}
+
+/// Merge sort of an inbox chain by (at, src, seq), in place through the
+/// intrusive `next` links: O(m log m), no allocation.
+[[nodiscard]] inline RemoteMsg* sort_chain(RemoteMsg* head) {
+  if (head == nullptr || head->next == nullptr) return head;
+  RemoteMsg* slow = head;
+  for (RemoteMsg* fast = head->next; fast != nullptr && fast->next != nullptr;
+       fast = fast->next->next) {
+    slow = slow->next;
+  }
+  RemoteMsg* back = sort_chain(slow->next);
+  slow->next = nullptr;
+  RemoteMsg* front = sort_chain(head);
+  RemoteMsg* merged = nullptr;
+  RemoteMsg** tail = &merged;
+  while (front != nullptr && back != nullptr) {
+    RemoteMsg*& first = delivers_before(*back, *front) ? back : front;
+    *tail = first;
+    tail = &first->next;
+    first = first->next;
+  }
+  *tail = front != nullptr ? front : back;
+  return merged;
+}
+
+}  // namespace detail
 
 class ParallelEngine {
  public:
@@ -112,15 +235,18 @@ class ParallelEngine {
     RSD_ASSERT(partitions >= 1);
     RSD_ASSERT(lookahead_.ns() > 0);
     if (options.jitter_seed != 0) team_.set_claim_jitter(options.jitter_seed);
-    parts_.reserve(static_cast<std::size_t>(partitions));
+    const auto n = static_cast<std::size_t>(partitions);
+    parts_.reserve(n);
     for (int i = 0; i < partitions; ++i) {
       parts_.emplace_back(new Partition{*this, static_cast<PartitionId>(i)});
     }
-    slots_.resize(parts_.size());
-    scratch_.resize(parts_.size());
-    timelines_.resize(parts_.size());
-    inflight_.resize(parts_.size());
-    avail_.resize(parts_.size());
+    slots_.resize(n);
+    timelines_.resize(n);
+    next_.assign(n, SimTime::max());
+    inflight_.assign(n, SimTime::max());
+    avail_.assign(n, SimTime::max());
+    horizon_.assign(n, SimTime::max());
+    inbox_.assign(2 * n, nullptr);
   }
 
   /// Partition teardown frees coroutine frames into the owning arenas, so
@@ -161,14 +287,18 @@ class ParallelEngine {
       cell = std::min(cell, e.lookahead.ns());
       min_edge = std::min(min_edge, e.lookahead.ns());
     }
-    out_edges_.assign(n, {});
+    csr_ = {};
+    csr_.offset.reserve(n + 1);
+    csr_.offset.push_back(0);
     for (std::size_t src = 0; src < n; ++src) {
       for (std::size_t dst = 0; dst < n; ++dst) {
         const std::int64_t ns = edge_min_ns_[src * n + dst];
         if (ns != kNoEdge) {
-          out_edges_[src].push_back({static_cast<PartitionId>(dst), ns});
+          csr_.dst.push_back(static_cast<PartitionId>(dst));
+          csr_.ns.push_back(ns);
         }
       }
+      csr_.offset.push_back(static_cast<std::uint32_t>(csr_.dst.size()));
     }
     min_edge_ns_ = min_edge;
     matrix_mode_ = true;
@@ -198,25 +328,14 @@ class ParallelEngine {
     const std::uint64_t gain_before = horizon_gain_ns_;
     refresh();
     for (;;) {
-      // Serial routing pass: move every message sent last epoch into its
-      // destination's inbox — O(messages), where each partition scanning
-      // every outbox would be O(partitions^2) per epoch. The refs point
-      // into drain-side buffers, which stay untouched until this buffer
-      // parity fills again next epoch.
-      const int drain = fill_parity_;
-      for (std::size_t i = 0; i < parts_.size(); ++i) {
-        scratch_[i].clear();
-        inflight_[i] = SimTime::max();
-      }
-      for (const auto& sp : parts_) {
-        for (const RemoteMsg& m : sp->outbox_[drain]) {
-          scratch_[m.dst].push_back(InRef{m.at, sp->id_, m.seq, &m.call});
-          inflight_[m.dst] = std::min(inflight_[m.dst], m.at);
-        }
-      }
+      // The serial pass between epochs: O(partitions) over contiguous
+      // arrays. Senders already routed last epoch's messages (process()),
+      // so inflight_ holds each destination's earliest arrival; reset it
+      // for the sends of the coming epoch.
       SimTime t_min = SimTime::max();
       for (std::size_t i = 0; i < parts_.size(); ++i) {
-        avail_[i] = std::min(slots_[i].next_time, inflight_[i]);
+        avail_[i] = std::min(next_[i], inflight_[i]);
+        inflight_[i] = SimTime::max();
         t_min = std::min(t_min, avail_[i]);
       }
       if (t_min == SimTime::max()) break;
@@ -232,12 +351,12 @@ class ParallelEngine {
     flush_metrics(epochs_ - epochs_before, horizon_gain_ns_ - gain_before);
   }
 
-  /// Prime the per-partition next-event slots from the schedulers. run()
+  /// Prime the per-partition next-event times from the schedulers. run()
   /// calls this on entry (work spawned between runs is picked up); also
   /// useful to tests that inspect scheduling state before running.
   void refresh() {
     for (std::size_t i = 0; i < parts_.size(); ++i) {
-      slots_[i].next_time = parts_[i]->sched_.next_event_time();
+      next_[i] = parts_[i]->sched_.next_event_time();
     }
   }
 
@@ -274,90 +393,25 @@ class ParallelEngine {
  private:
   friend class Partition;
 
-  /// Per-partition engine-side state, cache-line padded: every worker
-  /// writes only its own block's slots within an epoch (the
-  /// horizon is written serially between epochs, read by the worker).
+  /// Per-partition tallies, cache-line padded: only the worker running
+  /// the partition writes them, and only the flush reads them.
   struct alignas(64) Slot {
-    SimTime next_time = SimTime::max();
-    SimTime horizon = SimTime::max();
     std::uint64_t delivered = 0;
     std::uint64_t stalls = 0;
   };
 
-  /// Reference into a source outbox, collected per destination and sorted
-  /// by the deterministic merge key.
-  struct InRef {
-    SimTime at;
-    PartitionId src;
-    std::uint64_t seq;
-    const CrossCall* call;
-
-    [[nodiscard]] bool operator<(const InRef& o) const {
-      if (at != o.at) return at < o.at;
-      if (src != o.src) return src < o.src;
-      return seq < o.seq;
-    }
-  };
-
-  /// Multi-source Dijkstra frontier entry for compute_horizons, ordered
-  /// deterministically by (time, partition id).
-  struct HeapNode {
-    SimTime at;
-    PartitionId part;
-
-    struct Later {  // make_heap comparator: min-heap on (at, part)
-      [[nodiscard]] bool operator()(const HeapNode& a, const HeapNode& b) const {
-        if (a.at != b.at) return a.at > b.at;
-        return a.part > b.part;
-      }
-    };
-  };
-
-  /// Distance-aware per-partition horizons. Global mode: everyone gets
-  /// t_min + lookahead. Matrix mode: one multi-source Dijkstra over the
-  /// lookahead-edge graph, seeded with a_i — the earliest activity e_i of
-  /// each partition — so h_j = min over in-edges (i, j) of e_i + L_ij is
-  /// the earliest instant any message chain could still reach j. Ties
-  /// break on (time, partition id): pure simulation state, thread-safe by
-  /// running serially between epochs.
+  /// Per-partition horizons. Global mode: everyone gets t_min +
+  /// lookahead. Matrix mode: detail::epoch_horizons over the CSR edges,
+  /// seeded with a_i. Runs serially between epochs.
   void compute_horizons(SimTime t_min) {
     if (!matrix_mode_) {
-      const SimTime h = t_min + lookahead_;
-      for (auto& s : slots_) s.horizon = h;
+      std::fill(horizon_.begin(), horizon_.end(), t_min + lookahead_);
       return;
     }
-    const std::size_t n = parts_.size();
-    dist_.assign(n, SimTime::max());
-    arrive_.assign(n, SimTime::max());
-    heap_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (avail_[i] != SimTime::max()) {
-        dist_[i] = avail_[i];
-        heap_.push_back(HeapNode{avail_[i], static_cast<PartitionId>(i)});
-      }
-    }
-    std::make_heap(heap_.begin(), heap_.end(), HeapNode::Later{});
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), HeapNode::Later{});
-      const HeapNode top = heap_.back();
-      heap_.pop_back();
-      if (top.at > dist_[top.part]) continue;
-      for (const auto& [dst, lookahead_ns] : out_edges_[top.part]) {
-        const SimTime cand = top.at + duration::nanoseconds(lookahead_ns);
-        arrive_[dst] = std::min(arrive_[dst], cand);
-        if (cand < dist_[dst]) {
-          dist_[dst] = cand;
-          heap_.push_back(HeapNode{cand, dst});
-          std::push_heap(heap_.begin(), heap_.end(), HeapNode::Later{});
-        }
-      }
-    }
+    detail::epoch_horizons(avail_, csr_, horizon_, horizon_scratch_);
     const SimTime base = t_min + duration::nanoseconds(min_edge_ns_);
-    for (std::size_t j = 0; j < n; ++j) {
-      slots_[j].horizon = arrive_[j];
-      if (arrive_[j] != SimTime::max()) {
-        horizon_gain_ns_ += static_cast<std::uint64_t>((arrive_[j] - base).ns());
-      }
+    for (const SimTime h : horizon_) {
+      if (h != SimTime::max()) horizon_gain_ns_ += static_cast<std::uint64_t>((h - base).ns());
     }
   }
 
@@ -365,27 +419,50 @@ class ParallelEngine {
     Partition& p = *parts_[i];
     ArenaScope scope{p.arena_};
 
-    // The buffer this partition fills now was routed from two epochs ago
-    // (the flip + barrier in between make the clear safe).
-    auto& out = p.outbox_[fill_parity_];
+    // The buffer this partition fills now was delivered last epoch and
+    // routed the epoch before (the flip + barrier in between make the
+    // clear safe: no chain points into it any more).
+    const int fill = fill_parity_;
+    auto& out = p.outbox_[fill];
     out.clear();
     p.out_cur_ = &out;
 
-    // The engine's routing pass already moved this partition's inbound
-    // messages into scratch_[i]; merge-sort by (at, src, seq), deliver.
-    const SimTime horizon = slots_[i].horizon;
-    auto& in = scratch_[i];
-    std::sort(in.begin(), in.end());
-    for (const InRef& r : in) {
-      p.sched_.spawn_at(Partition::deliver(*r.call), r.at);
+    // Senders linked this partition's inbound messages onto the other
+    // parity's chain last epoch; nobody else touches it this epoch.
+    // Merge-sort by (at, src, seq), deliver.
+    RemoteMsg*& chain = inbox_[static_cast<std::size_t>(fill ^ 1) * parts_.size() + i];
+    std::uint64_t delivered = 0;
+    for (RemoteMsg* m = detail::sort_chain(chain); m != nullptr; m = m->next) {
+      p.sched_.spawn_at(Partition::deliver(m->call), m->at);
+      ++delivered;
     }
-    slots_[i].delivered += in.size();
+    chain = nullptr;
+    slots_[i].delivered += delivered;
 
+    const SimTime horizon = horizon_[i];
     const std::uint64_t executed = p.sched_.run_before(horizon);
     const SimTime next = p.sched_.next_event_time();
     const bool stalled = executed == 0 && next != SimTime::max();
     if (stalled) ++slots_[i].stalls;
-    slots_[i].next_time = next;
+    next_[i] = next;
+    p.out_cur_ = nullptr;  // a send() outside the next slice is rejected
+
+    // Sender-side routing: the outbox is final, and it stays untouched
+    // until this parity fills again two epochs on, so the chains may
+    // point into it. Other senders push onto the same chains and lower
+    // the same minima concurrently; the destination reads them only
+    // after the epoch barrier.
+    for (RemoteMsg& m : out) {
+      std::atomic_ref<RemoteMsg*> head{
+          inbox_[static_cast<std::size_t>(fill) * parts_.size() + m.dst]};
+      m.next = head.load();
+      while (!head.compare_exchange_weak(m.next, &m)) {
+      }
+      std::atomic_ref<SimTime> earliest{inflight_[m.dst]};
+      SimTime cur = earliest.load();
+      while (m.at < cur && !earliest.compare_exchange_weak(cur, m.at)) {
+      }
+    }
 
     // Epoch timeline sample. Each partition's ring is touched only by the
     // worker that runs it this epoch, and epochs are barrier-separated,
@@ -400,11 +477,9 @@ class ParallelEngine {
       } else {
         ++ring.count;
       }
-      ring.buf[ring.next] =
-          EpochSample{horizon.ns(), executed, static_cast<std::uint64_t>(in.size()), stalled};
+      ring.buf[ring.next] = EpochSample{horizon.ns(), executed, delivered, stalled};
       ring.next = (ring.next + 1) % ring.buf.size();
     }
-    p.out_cur_ = nullptr;  // a send() outside the next slice is rejected
   }
 
   /// Quiesce-point flush into the global registry (obs design: no per-event
@@ -484,24 +559,30 @@ class ParallelEngine {
   exec::Team team_;
   std::vector<std::unique_ptr<Partition>> parts_;
   std::vector<Slot> slots_;
-  std::vector<std::vector<InRef>> scratch_;
   std::vector<EpochRing> timelines_;
-  std::vector<SimTime> inflight_;  ///< Per-dest min undelivered message time.
+  // Plain per-partition arrays the serial pass reads. next_[i] is written
+  // by the worker running i; inflight_[j] is lowered by any sender to j
+  // (atomic_ref CAS) and reset serially; avail_ and horizon_ are written
+  // serially and horizon_[i] read by i's worker.
+  std::vector<SimTime> next_;      ///< Next local event time.
+  std::vector<SimTime> inflight_;  ///< Earliest message routed to i.
   std::vector<SimTime> avail_;     ///< a_i: earliest instant i can still act.
+  std::vector<SimTime> horizon_;
+  /// Inbox chain heads, [parity * partitions + dst]: senders push onto
+  /// the fill parity's chains, destinations drain the other parity's.
+  std::vector<RemoteMsg*> inbox_;
   int fill_parity_ = 0;
   std::uint64_t epochs_ = 0;
   std::int32_t sim_id_ = -1;  ///< Tracer timeline id, acquired at first flush.
 
   // Lookahead matrix (matrix_mode_): dense per-pair minimum send delays
-  // (kNoEdge-filled; send() asserts against it), adjacency lists for the
-  // per-epoch horizon Dijkstra, and reusable scratch for that search.
+  // (kNoEdge-filled; send() asserts against it), the same edges as CSR
+  // arrays for the per-epoch horizon sweep, and that sweep's scratch.
   bool matrix_mode_ = false;
   std::int64_t min_edge_ns_ = 0;
   std::vector<std::int64_t> edge_min_ns_;
-  std::vector<std::vector<std::pair<PartitionId, std::int64_t>>> out_edges_;
-  std::vector<SimTime> dist_;
-  std::vector<SimTime> arrive_;
-  std::vector<HeapNode> heap_;
+  detail::LookaheadCsr csr_;
+  detail::HorizonScratch horizon_scratch_;
   std::uint64_t horizon_gain_ns_ = 0;
 };
 
@@ -519,7 +600,7 @@ inline void Partition::send(PartitionId dst, SimDuration delay, CrossCall call) 
   // promised the horizon computation.
   RSD_ASSERT(delay >= engine_.min_send_delay(id_, dst));
   RSD_ASSERT(out_cur_ != nullptr);  // only legal inside an epoch slice
-  out_cur_->push_back(RemoteMsg{at, dst, send_seq_++, std::move(call)});
+  out_cur_->push_back(RemoteMsg{at, id_, dst, send_seq_++, nullptr, std::move(call)});
 }
 
 }  // namespace rsd::sim

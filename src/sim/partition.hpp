@@ -14,7 +14,8 @@
 // is the source partition's send counter. Source-side processing is
 // sequential, so the key is a pure function of the simulation — never of
 // thread interleaving — and the engine's sorted merge gives every
-// destination queue one total, thread-count-independent order.
+// destination queue one total, thread-count-independent order, whatever
+// order concurrent senders linked their messages onto its inbox chain.
 #pragma once
 
 #include <cstddef>
@@ -68,11 +69,15 @@ class CrossCall {
 };
 
 /// A message in flight between partitions. `seq` restarts per source;
-/// the engine merges inbound messages by `(at, src, seq)`.
+/// the engine merges inbound messages by `(at, src, seq)`. The message
+/// stays in its sender's outbox; `next` links it into the destination's
+/// inbox chain (see ParallelEngine::process).
 struct RemoteMsg {
   SimTime at;
+  PartitionId src = 0;
   PartitionId dst = 0;
   std::uint64_t seq = 0;
+  RemoteMsg* next = nullptr;
   CrossCall call;
 };
 
@@ -135,8 +140,9 @@ class Partition {
   // into the arena, so the arena must outlive it (reverse destruction).
   FrameArena arena_;
   Scheduler sched_;
-  /// Double-buffered outboxes: the engine fills one per epoch and routes
-  /// the other to destination inboxes between epochs, then flips parity.
+  /// Double-buffered outboxes: a slice fills one, then links its messages
+  /// onto the destinations' inbox chains; they are delivered (copied out)
+  /// next epoch, and the buffer is cleared the epoch after that.
   std::vector<RemoteMsg> outbox_[2];
   std::vector<RemoteMsg>* out_cur_ = nullptr;  ///< Set only while a slice runs.
   std::uint64_t send_seq_ = 0;

@@ -15,6 +15,8 @@
 #include "harness/context.hpp"
 #include "harness/experiment.hpp"
 #include "harness/registry.hpp"
+#include "harness/runner.hpp"
+#include "obs/metrics.hpp"
 #include "proxy/proxy.hpp"
 
 namespace {
@@ -137,6 +139,56 @@ TEST(HarnessDeterminism, Fig3CsvMatchesStandaloneComputation) {
   const fs::path csv_path = dir / "fig3_slack_sweep.csv";
   ASSERT_TRUE(fs::exists(csv_path));
   EXPECT_EQ(read_file(csv_path), standalone_fig3_csv());
+}
+
+// The manifest's gpusim.* metrics of a Pool fan-out experiment must not
+// depend on which device of the fan-out finishes last: every value is a
+// sum (counters, histogram merges), so two runs at the same width agree
+// exactly. Each run gets its own results directory, so neither serves
+// the sweep from the other's cache.
+TEST(HarnessDeterminism, GpusimManifestMetricsRepeatUnderPoolFanOut) {
+  const harness::Experiment* fig3 = harness::Registry::global().find("fig3_slack_sweep");
+  ASSERT_NE(fig3, nullptr);
+  std::vector<obs::MetricSample> runs[2];
+  for (int run = 0; run < 2; ++run) {
+    const fs::path dir =
+        fs::path{testing::TempDir()} / ("rsd_gpusim_metrics_" + std::to_string(run));
+    fs::remove_all(dir);
+    harness::ExperimentContext::Options options;
+    options.results_dir = dir;
+    options.threads = 4;
+    std::ostringstream sink;
+    options.out = &sink;
+    harness::ExperimentContext ctx{options};
+    const harness::RunSummary summary = harness::run_experiments({fig3}, ctx);
+    ASSERT_EQ(summary.outcomes.size(), 1u);
+    ASSERT_TRUE(summary.outcomes[0].ok) << summary.outcomes[0].error;
+    for (const obs::MetricSample& m : summary.outcomes[0].metrics.samples) {
+      if (m.name.starts_with("gpusim.")) runs[run].push_back(m);
+    }
+  }
+  ASSERT_EQ(runs[0].size(), runs[1].size());
+  for (std::size_t k = 0; k < runs[0].size(); ++k) {
+    const obs::MetricSample& a = runs[0][k];
+    const obs::MetricSample& b = runs[1][k];
+    ASSERT_EQ(a.name, b.name);
+    EXPECT_EQ(a.kind, b.kind) << a.name;
+    EXPECT_EQ(a.count, b.count) << a.name;
+    EXPECT_EQ(a.value, b.value) << a.name;
+    EXPECT_EQ(a.sum, b.sum) << a.name;
+    EXPECT_EQ(a.min, b.min) << a.name;
+    EXPECT_EQ(a.max, b.max) << a.name;
+    EXPECT_EQ(a.buckets, b.buckets) << a.name;
+  }
+  // Utilization is the ratio of two sums: compute-busy time over device
+  // lifetime, both summed over every device of the experiment.
+  const obs::MetricsSnapshot snapshot{runs[0]};
+  const obs::MetricSample* busy = snapshot.find("gpusim.compute_busy_ns");
+  const obs::MetricSample* lifetime = snapshot.find("gpusim.device_ns");
+  ASSERT_NE(busy, nullptr);
+  ASSERT_NE(lifetime, nullptr);
+  EXPECT_GT(busy->count, 0);
+  EXPECT_LE(busy->count, lifetime->count);
 }
 
 }  // namespace

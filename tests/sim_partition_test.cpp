@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
+#include "core/rng.hpp"
 #include "sim/partition.hpp"
 #include "sim/task.hpp"
 
@@ -340,6 +342,201 @@ TEST(ParallelEngine, MatrixMinSendDelayIsPerEdge) {
   EXPECT_EQ(eng.min_send_delay(0, 1), SimDuration{2'000});
   EXPECT_EQ(eng.min_send_delay(1, 2), SimDuration{5'000});
   EXPECT_GT(eng.min_send_delay(2, 0), SimDuration{1'000'000'000});
+}
+
+// -- Sender-side routing under concurrency ---------------------------------
+
+/// One cross-partition delivery: logs (arrival ns, tag) in the receiving
+/// partition's own log.
+struct Deliver {
+  Partition* here;
+  Log* log;
+  int tag;
+
+  void operator()() const { log->entries.emplace_back(here->scheduler().now().ns(), tag); }
+};
+
+/// All-to-all rounds: every round each partition sends three messages to
+/// every other partition, so every destination's inbox chain is pushed by
+/// every worker block in the same epoch (fan-in) while every sender links
+/// onto every chain (fan-out). Two messages per pair tie on arrival time
+/// across all sources; the third lands at a source-dependent offset.
+/// Tags encode (src, round, seq), so the merge key orders each log by
+/// (time, tag).
+std::vector<std::pair<std::int64_t, int>> run_all_to_all(int threads, std::uint64_t jitter_seed) {
+  constexpr int kParts = 16;
+  constexpr int kRounds = 5;
+  ParallelEngine eng{kParts, {.threads = threads, .lookahead = 1_us, .jitter_seed = jitter_seed}};
+  std::vector<Log> logs(kParts);
+  for (PartitionId src = 0; src < kParts; ++src) {
+    eng.partition(src).spawn([&eng, &logs, src] {
+      return [](ParallelEngine& e, Log* all, PartitionId me) -> Task<> {
+        Partition& here = e.partition(me);
+        for (int round = 0; round < kRounds; ++round) {
+          co_await delay(5_us);
+          for (PartitionId dst = 0; dst < kParts; ++dst) {
+            if (dst == me) continue;
+            Partition* to = &e.partition(dst);
+            const int tag = static_cast<int>(me) * 1000 + round * 10;
+            here.send(dst, 2_us, Deliver{to, &all[dst], tag});
+            here.send(dst, 2_us, Deliver{to, &all[dst], tag + 1});
+            here.send(dst, SimDuration{2'000 + 100 * (me % 3)}, Deliver{to, &all[dst], tag + 2});
+          }
+        }
+      }(eng, logs.data(), src);
+    });
+  }
+  eng.run();
+  EXPECT_EQ(eng.unfinished_count(), 0u);
+  EXPECT_EQ(eng.messages_delivered(), std::uint64_t{kParts} * (kParts - 1) * kRounds * 3);
+
+  std::vector<std::pair<std::int64_t, int>> fingerprint;
+  for (const Log& log : logs) {
+    EXPECT_EQ(log.entries.size(), std::size_t{(kParts - 1) * kRounds * 3});
+    EXPECT_TRUE(std::is_sorted(log.entries.begin(), log.entries.end()));
+    fingerprint.emplace_back(-1, static_cast<int>(log.entries.size()));
+    fingerprint.insert(fingerprint.end(), log.entries.begin(), log.entries.end());
+  }
+  return fingerprint;
+}
+
+TEST(ParallelEngine, AllToAllDeliveryIsIdenticalAtAnyThreadCount) {
+  const auto baseline = run_all_to_all(1, 0);
+  for (const int threads : {2, 4}) {
+    EXPECT_EQ(run_all_to_all(threads, 0), baseline) << "threads=" << threads;
+  }
+  for (const std::uint64_t seed : {0x2ULL, 0xfeedULL}) {
+    EXPECT_EQ(run_all_to_all(4, seed), baseline) << "seed=" << seed;
+  }
+}
+
+// -- Horizon computation against a reference Dijkstra ----------------------
+
+/// The per-epoch horizon search as a plain multi-source Dijkstra over
+/// adjacency lists (the engine's earlier implementation): every active
+/// node is a heap seed, and h_j is the least relaxation into j.
+std::vector<SimTime> reference_horizons(const std::vector<SimTime>& avail,
+                                        const std::vector<LookaheadEdge>& edges) {
+  const std::size_t n = avail.size();
+  std::vector<std::vector<std::pair<PartitionId, std::int64_t>>> out(n);
+  for (const LookaheadEdge& e : edges) out[e.src].emplace_back(e.dst, e.lookahead.ns());
+  std::vector<SimTime> dist = avail;
+  std::vector<SimTime> arrive(n, SimTime::max());
+  using Node = std::pair<SimTime, PartitionId>;
+  std::vector<Node> heap;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (avail[i] != SimTime::max()) heap.emplace_back(avail[i], static_cast<PartitionId>(i));
+  }
+  const auto later = [](const Node& a, const Node& b) { return a > b; };
+  std::make_heap(heap.begin(), heap.end(), later);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const auto [at, part] = heap.back();
+    heap.pop_back();
+    if (at > dist[part]) continue;
+    for (const auto& [dst, ns] : out[part]) {
+      const SimTime cand = at + SimDuration{ns};
+      arrive[dst] = std::min(arrive[dst], cand);
+      if (cand < dist[dst]) {
+        dist[dst] = cand;
+        heap.emplace_back(cand, dst);
+        std::push_heap(heap.begin(), heap.end(), later);
+      }
+    }
+  }
+  return arrive;
+}
+
+/// CSR form of an edge list, duplicates kept in input order.
+detail::LookaheadCsr to_csr(std::size_t n, const std::vector<LookaheadEdge>& edges) {
+  detail::LookaheadCsr csr;
+  csr.offset.assign(n + 1, 0);
+  for (const LookaheadEdge& e : edges) ++csr.offset[e.src + 1];
+  for (std::size_t i = 0; i < n; ++i) csr.offset[i + 1] += csr.offset[i];
+  csr.dst.resize(edges.size());
+  csr.ns.resize(edges.size());
+  std::vector<std::uint32_t> fill(csr.offset.begin(), csr.offset.end() - 1);
+  for (const LookaheadEdge& e : edges) {
+    const std::uint32_t k = fill[e.src]++;
+    csr.dst[k] = e.dst;
+    csr.ns[k] = e.lookahead.ns();
+  }
+  return csr;
+}
+
+TEST(EpochHorizons, MatchesReferenceDijkstraOnRandomGraphs) {
+  Rng rng{0x40415a};
+  detail::HorizonScratch scratch;
+  int heap_cases = 0;
+  int sweep_only_cases = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(40);
+    // Seeds range from all-equal (spread 0: nothing improves, the sweep
+    // alone settles every label) to far apart (labels improve, so the
+    // heap path runs); some nodes are idle (SimTime::max).
+    const std::uint64_t spread = std::uint64_t{1} << rng.uniform_index(12);
+    const int idle_per_16 =
+        rng.uniform_index(3) == 0 ? static_cast<int>(rng.uniform_index(17)) : 0;
+    std::vector<SimTime> avail(n);
+    for (SimTime& a : avail) {
+      a = static_cast<int>(rng.uniform_index(16)) < idle_per_16
+              ? SimTime::max()
+              : SimTime{1'000 + static_cast<std::int64_t>(rng.uniform_index(spread))};
+    }
+    // Short lookaheads from a small set force distance ties; duplicate
+    // edges (same pair, different bounds) and nodes without in-edges
+    // occur at random.
+    std::vector<LookaheadEdge> edges;
+    const std::size_t m = n < 2 ? 0 : rng.uniform_index(3 * n + 1);
+    for (std::size_t k = 0; k < m; ++k) {
+      const auto src = static_cast<PartitionId>(rng.uniform_index(n));
+      auto dst = static_cast<PartitionId>(rng.uniform_index(n - 1));
+      if (dst >= src) ++dst;
+      edges.push_back({src, dst, SimDuration{1 + static_cast<std::int64_t>(rng.uniform_index(8))}});
+      if (rng.uniform_index(4) == 0) {
+        edges.push_back({src, dst, SimDuration{1 + static_cast<std::int64_t>(rng.uniform_index(8))}});
+      }
+    }
+    std::vector<SimTime> got(n);
+    const std::size_t seeds = detail::epoch_horizons(avail, to_csr(n, edges), got, scratch);
+    ASSERT_EQ(got, reference_horizons(avail, edges)) << "trial=" << trial << " n=" << n;
+    (seeds > 0 ? heap_cases : sweep_only_cases) += 1;
+  }
+  EXPECT_GT(heap_cases, 200);
+  EXPECT_GT(sweep_only_cases, 200);
+}
+
+TEST(EpochHorizons, IdleAndUnreachableNodesGetNoHorizon) {
+  // 0 -> 1 -> 2 chain plus an isolated node 3. Only node 1 is active.
+  const std::vector<LookaheadEdge> edges{{0, 1, SimDuration{5}}, {1, 2, SimDuration{7}}};
+  const auto csr = to_csr(4, edges);
+  detail::HorizonScratch scratch;
+  std::vector<SimTime> got(4);
+  const std::vector<SimTime> avail{SimTime::max(), SimTime{100}, SimTime::max(), SimTime{3}};
+  EXPECT_EQ(detail::epoch_horizons(avail, csr, got, scratch), 1u);  // node 2 improves
+  EXPECT_EQ(got, (std::vector<SimTime>{SimTime::max(), SimTime::max(), SimTime{107},
+                                       SimTime::max()}));
+  const std::vector<SimTime> idle(4, SimTime::max());
+  EXPECT_EQ(detail::epoch_horizons(idle, csr, got, scratch), 0u);
+  EXPECT_EQ(got, idle);
+}
+
+TEST(EpochHorizons, TransitiveChainsThroughIdleNodesAreFollowed) {
+  // Node 0 is early; 1 and 2 are idle relays; node 3's direct in-edge is
+  // from late node 4. The chain 0 -> 1 -> 2 -> 3 must bound h_3.
+  const std::vector<LookaheadEdge> edges{
+      {0, 1, SimDuration{10}}, {1, 2, SimDuration{10}}, {2, 3, SimDuration{10}},
+      {4, 3, SimDuration{1}}};
+  detail::HorizonScratch scratch;
+  std::vector<SimTime> got(5);
+  const std::vector<SimTime> avail{SimTime{0}, SimTime::max(), SimTime::max(), SimTime{500},
+                                   SimTime{1'000}};
+  detail::epoch_horizons(avail, to_csr(5, edges), got, scratch);
+  EXPECT_EQ(got[1], SimTime{10});
+  EXPECT_EQ(got[2], SimTime{20});
+  EXPECT_EQ(got[3], SimTime{30});
+  EXPECT_EQ(got[0], SimTime::max());
+  EXPECT_EQ(got, reference_horizons(avail, edges));
 }
 
 }  // namespace
