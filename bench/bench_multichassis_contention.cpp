@@ -25,7 +25,7 @@
 // width (sections 2-3, clamped so the replay node spans at least two
 // chassis, and replaces the {4, 8} row sweep); `--fabric` narrows
 // section 3. The manifest entry must carry net.nic_transfers and
-// net.fibre_busy_ns (check_manifest.py enforces this) — if they are
+// net.fibre_busy_ns (`rsd_manifest.py check` enforces this) — if they are
 // missing, the multi-chassis graph was never built.
 #include <algorithm>
 #include <cstdint>

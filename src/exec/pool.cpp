@@ -9,7 +9,6 @@
 namespace rsd::exec {
 
 Pool::Pool(int threads) : size_(std::max(1, threads)) {
-  obs::Registry::global().gauge("exec.pool_size").set(static_cast<double>(size_));
   // The caller participates in every batch it submits, so spawn size-1
   // workers; a pool of size 1 owns no threads at all.
   workers_.reserve(static_cast<std::size_t>(size_ - 1));

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 
-#include "obs/metrics.hpp"
-
 namespace rsd::exec {
 
 namespace {
@@ -66,7 +64,6 @@ int default_sim_thread_count() {
 Team::Team(int threads)
     : size_(std::max(1, threads)),
       spin_(static_cast<unsigned>(size_) <= std::thread::hardware_concurrency()) {
-  obs::Registry::global().gauge("exec.team_size").set(static_cast<double>(size_));
   workers_.reserve(static_cast<std::size_t>(size_ - 1));
   for (int i = 0; i < size_ - 1; ++i) {
     workers_.emplace_back([this, i] { worker_loop(static_cast<std::uint32_t>(i) + 1); });

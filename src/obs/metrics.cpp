@@ -100,8 +100,6 @@ MetricsSnapshot metrics_delta(const MetricsSnapshot& before, const MetricsSnapsh
         case MetricKind::kCounter:
           d.count = a.count - b->count;
           break;
-        case MetricKind::kGauge:
-          break;  // latest value stands
         case MetricKind::kHistogram:
           d.count = a.count - b->count;
           d.sum = a.sum - b->sum;
@@ -164,16 +162,13 @@ std::string metrics_json(const MetricsSnapshot& snapshot) {
   out << '{';
   bool first = true;
   for (const MetricSample& s : snapshot.samples) {
-    if (s.kind != MetricKind::kGauge && s.count == 0) continue;
+    if (s.count == 0) continue;
     if (!first) out << ", ";
     first = false;
     out << '"' << json_escape(s.name) << "\": ";
     switch (s.kind) {
       case MetricKind::kCounter:
         out << s.count;
-        break;
-      case MetricKind::kGauge:
-        out << json_number(s.value);
         break;
       case MetricKind::kHistogram:
         out << "{\"count\": " << s.count << ", \"sum\": " << s.sum
@@ -201,13 +196,6 @@ Counter& Registry::counter(const std::string& name) {
   return *slot;
 }
 
-Gauge& Registry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lk(m_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
 Histogram& Registry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lk(m_);
   auto& slot = histograms_[name];
@@ -223,13 +211,6 @@ MetricsSnapshot Registry::snapshot() const {
     s.name = name;
     s.kind = MetricKind::kCounter;
     s.count = c->value();
-    snap.samples.push_back(std::move(s));
-  }
-  for (const auto& [name, g] : gauges_) {
-    MetricSample s;
-    s.name = name;
-    s.kind = MetricKind::kGauge;
-    s.value = g->value();
     snap.samples.push_back(std::move(s));
   }
   for (const auto& [name, h] : histograms_) {

@@ -1,5 +1,5 @@
-// rsd::obs metrics — a typed metrics registry (counters, gauges,
-// histograms) snapshotted per experiment into the run manifest.
+// rsd::obs metrics — a typed metrics registry (counters and histograms)
+// snapshotted per experiment into the run manifest.
 //
 // Hot paths avoid per-event atomics: subsystems accumulate plain local
 // tallies (`HistogramData`, engine counters) and flush them into the
@@ -10,7 +10,7 @@
 //
 // Snapshots are value types; `metrics_delta(before, after)` attributes an
 // interval's activity to one experiment (counters and histogram
-// count/sum subtract; gauges report their latest value).
+// count/sum subtract), so an entry names only what its experiment did.
 #pragma once
 
 #include <array>
@@ -36,16 +36,6 @@ class Counter {
 
  private:
   std::atomic<std::int64_t> v_{0};
-};
-
-/// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void set(double v) { v_.store(v, std::memory_order_relaxed); }
-  [[nodiscard]] double value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> v_{0.0};
 };
 
 /// Plain (non-atomic) histogram tally: the accumulate-locally,
@@ -80,13 +70,13 @@ class Histogram {
   std::array<std::atomic<std::int64_t>, kHistogramBuckets> buckets_{};
 };
 
-enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
+enum class MetricKind : std::uint8_t { kCounter, kHistogram };
 
 struct MetricSample {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
   std::int64_t count = 0;  ///< Counter value / histogram count.
-  double value = 0.0;      ///< Gauge value / histogram mean.
+  double value = 0.0;      ///< Histogram only: mean.
   std::int64_t sum = 0;    ///< Histogram only.
   std::int64_t min = 0;    ///< Histogram only (0 when empty).
   std::int64_t max = 0;    ///< Histogram only (0 when empty).
@@ -102,8 +92,8 @@ struct MetricsSnapshot {
 };
 
 /// Activity between two snapshots of the same registry. Counters and
-/// histogram count/sum subtract; gauges and histogram min/max report the
-/// `after` side. Metrics born between the snapshots keep their full value.
+/// histogram count/sum subtract; histogram min/max report the `after`
+/// side. Metrics born between the snapshots keep their full value.
 [[nodiscard]] MetricsSnapshot metrics_delta(const MetricsSnapshot& before,
                                             const MetricsSnapshot& after);
 
@@ -116,7 +106,7 @@ struct MetricsSnapshot {
 /// non-histogram samples.
 [[nodiscard]] double histogram_quantile(const MetricSample& sample, double q);
 
-/// One-line JSON object: counters/gauges as numbers, histograms as
+/// One-line JSON object: counters as numbers, histograms as
 /// {"count","sum","mean","min","max","p50","p90","p99"}. Zero-count
 /// samples are skipped so an experiment's manifest entry only names
 /// subsystems it exercised.
@@ -134,7 +124,6 @@ class Registry {
   /// Find-or-create by name. Returned references live as long as the
   /// registry; hot callers may cache them.
   [[nodiscard]] Counter& counter(const std::string& name);
-  [[nodiscard]] Gauge& gauge(const std::string& name);
   [[nodiscard]] Histogram& histogram(const std::string& name);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
@@ -142,7 +131,6 @@ class Registry {
  private:
   mutable std::mutex m_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 

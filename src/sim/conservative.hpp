@@ -492,7 +492,6 @@ class ParallelEngine {
     reg.counter("pardes.messages").add(static_cast<std::int64_t>(messages_delivered()));
     reg.counter("pardes.lookahead_stalls")
         .add(static_cast<std::int64_t>(stalled_partition_epochs()));
-    reg.gauge("pardes.threads").set(static_cast<double>(threads_));
     auto& events_hist = reg.histogram("pardes.partition_events");
     obs::HistogramData local;
     for (const auto& p : parts_) {

@@ -16,7 +16,8 @@ namespace rsd::trace {
 /// kind, name, context, submit_us, start_us, end_us, bytes). Numbers are
 /// parsed with std::from_chars; a cell that is not a finite number, an
 /// id (context, process) outside int, a time whose nanoseconds overflow
-/// int64, or a negative or oversized byte count is rejected. Throws
+/// int64, a negative or oversized byte count, or a row whose times are
+/// not ordered submit <= start <= end is rejected. Throws
 /// rsd::Error{kInvalidArgument} with a line number on malformed input.
 [[nodiscard]] Trace parse_ops_csv(std::istream& input);
 

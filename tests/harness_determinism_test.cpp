@@ -18,10 +18,13 @@
 #include "harness/runner.hpp"
 #include "obs/metrics.hpp"
 #include "proxy/proxy.hpp"
+#include "sim/conservative.hpp"
+#include "sim/task.hpp"
 
 namespace {
 
 using namespace rsd;
+using namespace rsd::literals;
 namespace fs = std::filesystem;
 
 std::string read_file(const fs::path& path) {
@@ -189,6 +192,47 @@ TEST(HarnessDeterminism, GpusimManifestMetricsRepeatUnderPoolFanOut) {
   ASSERT_NE(lifetime, nullptr);
   EXPECT_GT(busy->count, 0);
   EXPECT_LE(busy->count, lifetime->count);
+}
+
+// A manifest entry names only what its own experiment did: after one
+// experiment builds and runs a two-thread sim::ParallelEngine, an
+// experiment that touches neither the pool nor an engine records no
+// exec.* or pardes.* metric, and neither entry carries a pool, team or
+// engine width (the pool width is the manifest's top-level "threads").
+TEST(HarnessDeterminism, LaterEntriesCarryNoEngineOrPoolState) {
+  const harness::FunctionExperiment engine{
+      "engine", "test", "runs a partitioned engine", [](harness::ExperimentContext&) {
+        sim::ParallelEngine eng{2, {.threads = 2, .lookahead = 1_us}};
+        eng.partition(0).spawn([] {
+          return []() -> sim::Task<> { co_await sim::delay(5_us); }();
+        });
+        eng.run();
+      }};
+  const harness::FunctionExperiment idle{"idle", "test", "does nothing",
+                                         [](harness::ExperimentContext&) {}};
+  const fs::path dir = fs::path{testing::TempDir()} / "rsd_no_width_metrics";
+  fs::remove_all(dir);
+  harness::ExperimentContext::Options options;
+  options.results_dir = dir;
+  options.threads = 2;
+  std::ostringstream sink;
+  options.out = &sink;
+  harness::ExperimentContext ctx{options};
+  const harness::RunSummary summary = harness::run_experiments({&engine, &idle}, ctx);
+  ASSERT_EQ(summary.outcomes.size(), 2u);
+  ASSERT_TRUE(summary.outcomes[0].ok) << summary.outcomes[0].error;
+  ASSERT_TRUE(summary.outcomes[1].ok) << summary.outcomes[1].error;
+
+  const std::string engine_json = obs::metrics_json(summary.outcomes[0].metrics);
+  const std::string idle_json = obs::metrics_json(summary.outcomes[1].metrics);
+  EXPECT_NE(engine_json.find("\"pardes.runs\": 1"), std::string::npos) << engine_json;
+  for (const std::string& json : {engine_json, idle_json}) {
+    for (const char* width : {"exec.pool_size", "exec.team_size", "pardes.threads"}) {
+      EXPECT_EQ(json.find(width), std::string::npos) << width << " in " << json;
+    }
+  }
+  EXPECT_EQ(idle_json.find("\"exec."), std::string::npos) << idle_json;
+  EXPECT_EQ(idle_json.find("\"pardes."), std::string::npos) << idle_json;
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Metrics registry unit tests: counter/gauge/histogram semantics, local
+// Metrics registry unit tests: counter/histogram semantics, local
 // tally merging, snapshot deltas, and the manifest JSON serialization.
 #include <gtest/gtest.h>
 
@@ -16,13 +16,6 @@ TEST(Metrics, CounterAccumulates) {
   c.add();
   c.add(41);
   EXPECT_EQ(c.value(), 42);
-}
-
-TEST(Metrics, GaugeIsLastWriteWins) {
-  Gauge g;
-  g.set(1.5);
-  g.set(-2.5);
-  EXPECT_DOUBLE_EQ(g.value(), -2.5);
 }
 
 TEST(Metrics, HistogramBucketIndexIsBitWidth) {
@@ -61,11 +54,10 @@ TEST(Metrics, RegistrySnapshotIsSortedAndFindable) {
   Registry reg;
   reg.counter("z.last").add(3);
   reg.counter("a.first").add(1);
-  reg.gauge("m.mid").set(0.5);
   reg.histogram("h.hist").observe(8);
 
   const MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.samples.size(), 4u);
+  ASSERT_EQ(snap.samples.size(), 3u);
   for (std::size_t i = 1; i < snap.samples.size(); ++i) {
     EXPECT_LT(snap.samples[i - 1].name, snap.samples[i].name);
   }
@@ -90,7 +82,6 @@ TEST(Metrics, DeltaAttributesOnlyIntervalActivity) {
   reg.counter("runs").add(5);
   reg.histogram("ns").observe(300);
   reg.counter("born.later").add(2);
-  reg.gauge("util").set(0.75);
   const MetricsSnapshot after = reg.snapshot();
 
   const MetricsSnapshot delta = metrics_delta(before, after);
@@ -100,8 +91,6 @@ TEST(Metrics, DeltaAttributesOnlyIntervalActivity) {
   EXPECT_DOUBLE_EQ(delta.find("ns")->value, 300.0);
   // A metric born inside the interval keeps its full value.
   EXPECT_EQ(delta.find("born.later")->count, 2);
-  // Gauges report the latest value.
-  EXPECT_DOUBLE_EQ(delta.find("util")->value, 0.75);
 }
 
 TEST(Metrics, HistogramQuantilesInterpolateWithinBuckets) {
@@ -169,13 +158,11 @@ TEST(Metrics, JsonSkipsZeroCountSamplesAndEscapesNames) {
   Registry reg;
   reg.counter("active").add(3);
   (void)reg.counter("idle");  // Never incremented: must not appear.
-  reg.gauge("util").set(0.5);
   reg.histogram("lat").observe(7);
 
   const std::string json = metrics_json(reg.snapshot());
   EXPECT_NE(json.find("\"active\": 3"), std::string::npos);
   EXPECT_EQ(json.find("idle"), std::string::npos);
-  EXPECT_NE(json.find("\"util\": 0.5"), std::string::npos);
   EXPECT_NE(json.find("\"lat\": {\"count\": 1, \"sum\": 7"), std::string::npos);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');

@@ -145,6 +145,28 @@ TEST(TraceImport, RejectsValuesThatDoNotFitTheirField) {
   }
 }
 
+TEST(TraceImport, RejectsRowsWhoseTimesAreOutOfOrder) {
+  const std::string header = "kind,name,context,submit_us,start_us,end_us,bytes\n";
+  const struct {
+    const char* row;
+    const char* what;
+  } cases[] = {
+      {"kernel,k,0,5,2,9,0\n", "start before submit"},
+      {"kernel,k,0,0,5,2,0\n", "end before start"},
+  };
+  for (const auto& c : cases) {
+    std::istringstream in{header + "kernel,ok,0,1,1,1,0\n" + c.row};
+    try {
+      (void)parse_ops_csv(in);
+      ADD_FAILURE() << "accepted " << c.row;
+    } catch (const Error& e) {
+      const std::string what{e.what()};
+      EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+      EXPECT_NE(what.find(c.what), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(TraceImport, ToleratesExtraColumnsAndBlankLines) {
   std::istringstream in{
       "kind,name,context,submit_us,start_us,end_us,bytes,extra\n"
